@@ -10,14 +10,14 @@
 //
 //	-table name   which table to print: fig3, fig4, fig5, fig6, summary,
 //	              stats, all (default)
-//	-stats        also print the solver's constraint-graph counters (SCCs
-//	              collapsed, cells merged, waves, edge traversals saved)
+//	-stats        also print the solver's counters, one table per
+//	              determinism class (pure, schedule, machine)
 //	-nocycle      disable online cycle elimination and wave scheduling
 //	              (ablation; facts are identical, only the schedule changes)
 //	-noprep       disable the offline constraint-reduction prepass and the
 //	              hash-consed set pool (ablation; facts are identical)
 //	-peak-mem     sample peak live heap at wave barriers; surfaces as the
-//	              peak-live column of the -stats tables
+//	              peak_live_bytes column of the -stats machine table
 //	-prep         measure the prepass + interner against their ablation on
 //	              large synthetic hub-and-chains programs (honors -repeat,
 //	              -solve-parallel, -prep-stmts)
@@ -31,7 +31,7 @@
 //	              worker count inside each solve (the work-stealing wave
 //	              executor; default 1 = sequential). Facts and Figure 3-6
 //	              numbers are identical at any setting; only wall time and
-//	              the -stats schedule counters change
+//	              the -stats schedule and machine counters change
 //	-program p    restrict to one corpus program
 //	-demand       measure the demand-driven query engine instead of the
 //	              figures: per program, the median single query's cold and
@@ -82,10 +82,10 @@ func run() error {
 	incrFlag := flag.Bool("incr", false, "measure incremental warm resumes vs cold solves over generated edits")
 	edits := flag.Int("edits", 3, "edits per program for -incr")
 	sweep := flag.Bool("sweep", false, "run the synthetic generator sweep")
-	stats := flag.Bool("stats", false, "print solver constraint-graph (cycle elimination) counters")
+	stats := flag.Bool("stats", false, "print the solver's counters by determinism class")
 	noCycle := flag.Bool("nocycle", false, "disable cycle elimination / wave scheduling (ablation)")
 	noPrep := flag.Bool("noprep", false, "disable the offline constraint-reduction prepass + set interner (ablation)")
-	peakMem := flag.Bool("peak-mem", false, "sample peak live heap at wave barriers (adds the peak-live column to -stats)")
+	peakMem := flag.Bool("peak-mem", false, "sample peak live heap at wave barriers (adds peak_live_bytes to -stats)")
 	prep := flag.Bool("prep", false, "measure the prepass + interner vs ablation on large synthetic programs")
 	prepStmts := flag.Int("prep-stmts", 500000, "largest statement count for -prep (smaller sizes are derived)")
 	jsonOut := flag.Bool("json", false, "emit the full evaluation as JSON instead of tables")

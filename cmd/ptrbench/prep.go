@@ -46,7 +46,7 @@ func prepSizes(stmtTargets []int) []corpus.LargeParams {
 
 type prepRow struct {
 	wall      time.Duration
-	peak      uint64
+	peak      int
 	collapsed int
 	interned  int
 	facts     int
@@ -67,9 +67,7 @@ func prepSolve(ctx context.Context, prog *frontend.Result, repeat, solvePar int,
 		if i == 0 || res.Duration < row.wall {
 			row.wall = res.Duration
 		}
-		if res.Wave.PeakLiveBytes > row.peak {
-			row.peak = res.Wave.PeakLiveBytes
-		}
+		row.peak = max(row.peak, res.Wave.PeakLiveBytes)
 		row.collapsed = res.Wave.PrepCollapsed
 		row.interned = res.Wave.InternSets
 		row.facts = res.TotalFacts()

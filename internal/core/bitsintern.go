@@ -198,7 +198,5 @@ func (s *solver) samplePeak() {
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc > s.stats.PeakLiveBytes {
-		s.stats.PeakLiveBytes = ms.HeapAlloc
-	}
+	s.stats.PeakLiveBytes = max(s.stats.PeakLiveBytes, int(ms.HeapAlloc))
 }

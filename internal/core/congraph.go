@@ -28,76 +28,55 @@ import "slices"
 // exactOut adjacency this layer walks, and the Offsets instance does not —
 // its edges keep the generic PropagateEdge path untouched.
 
-// WaveStats counts the constraint-graph layer's work during one solve.
+// WaveStats counts the solver's work during one solve: the constraint-graph
+// layer (online cycle elimination, wave scheduling), the parallel shard
+// executor, the offline prepass and the set interner. Each field is a
+// counter declared to the schema in counters.go by its tags; the class tag
+// says which runs must agree on it.
 type WaveStats struct {
-	// SCCsFound is the number of multi-cell strongly connected components
-	// collapsed by online cycle elimination.
-	SCCsFound int
-	// CellsMerged is the number of cells folded into another
-	// representative (SCC size minus one, summed over SCCs).
-	CellsMerged int
-	// Waves is the number of topological passes the scheduler ran.
-	Waves int
-	// EdgeBatches is the number of batched copy-edge traversals actually
-	// performed: one per (edge, delta batch).
-	EdgeBatches int
-	// FactCrossings is the number of (edge, fact) pairs those batches
-	// carried — what a per-fact worklist schedule would have traversed.
-	FactCrossings int
+	// Online cycle elimination: multi-cell SCCs collapsed, and the cells
+	// folded into another representative (SCC size minus one, summed).
+	SCCsFound   int `json:"sccs_found,omitempty" unit:"sccs" class:"pure" help:"copy-edge cycles collapsed online"`
+	CellsMerged int `json:"cells_merged,omitempty" unit:"cells" class:"pure" help:"cells folded into an SCC representative"`
 
-	// ParWaves is the number of waves the parallel shard executor ran
-	// (zero for a sequential solve). Like Waves/EdgeBatches it is a
-	// deterministic function of (program, strategy, Options.Parallelism).
-	ParWaves int
-	// ParShards is the number of shard drains those waves performed.
-	ParShards int
-	// ParSteals counts shards a worker claimed from another worker's
-	// queue. It is the one counter that depends on runtime scheduling
-	// (and GOMAXPROCS), so it is excluded from regression baselines and
-	// never compared across runs.
-	ParSteals int
-	// ParPendings is the number of cross-shard pending delta buffers
-	// merged at wave barriers.
-	ParPendings int
+	// Wave scheduling: topological passes, batched copy-edge traversals
+	// (one per edge and delta batch), the (edge, fact) pairs those batches
+	// carried — what a per-fact worklist would have traversed — and the
+	// difference, set once when the solve finishes.
+	Waves           int `json:"waves,omitempty" unit:"waves" class:"schedule" help:"topological passes of the wave scheduler"`
+	EdgeBatches     int `json:"edge_batches,omitempty" unit:"traversals" class:"schedule" help:"batched copy-edge traversals"`
+	FactCrossings   int `json:"fact_crossings,omitempty" unit:"facts" class:"schedule" help:"(edge, fact) pairs the batches carried"`
+	TraversalsSaved int `json:"traversals_saved,omitempty" unit:"traversals" class:"schedule" help:"fact_crossings minus edge_batches, floored at zero"`
 
-	// PrepClasses is the number of pointer-equivalence classes the
-	// offline prepass merged (prepass.go); PrepCollapsed the cells folded
-	// into another representative by those merges (class size minus one,
-	// summed); PrepChains the cells whose class membership came from the
-	// single-predecessor inheritance rule (copy chains and cast temps)
-	// rather than a shared signature. All three are a deterministic
-	// function of (program, strategy) — the prepass runs before any
-	// schedule-dependent work — but they are still zeroed in regression
-	// baselines recorded under parallelism, alongside the intern family.
-	PrepClasses   int
-	PrepCollapsed int
-	PrepChains    int
+	// Parallel shard executor (zero for a sequential solve). Steals depend
+	// on runtime scheduling and GOMAXPROCS, so they are never compared
+	// across runs.
+	ParWaves    int `json:"par_waves,omitempty" unit:"waves" class:"schedule" help:"waves the parallel shard executor ran"`
+	ParShards   int `json:"par_shards,omitempty" unit:"shards" class:"schedule" help:"shard drains in those waves"`
+	ParSteals   int `json:"par_steals,omitempty" unit:"shards" class:"machine" help:"shards claimed from another worker's queue"`
+	ParPendings int `json:"par_pendings,omitempty" unit:"buffers" class:"schedule" help:"cross-shard delta buffers merged at barriers"`
 
-	// InternEpochs is the number of interning passes the solve ran (one
-	// per wave barrier plus the final pass); InternSets the cumulative
-	// number of sets re-pointed at a canonical equal allocation;
-	// InternBytes the approximate block storage those aliasing events
-	// released (capacity of the dropped allocation, cumulative — a set
-	// re-cloned by copy-on-write and interned again counts again). The
-	// family is schedule-dependent: epochs fall at wave barriers, so the
-	// values differ between sequential and parallel executors.
-	InternEpochs int
-	InternSets   int
-	InternBytes  int
+	// Offline prepass (prepass.go): pointer-equivalence classes merged
+	// before the fixpoint, cells folded into another representative by
+	// those merges, and the cells whose membership came from the
+	// single-predecessor rule (copy chains and cast temps) rather than a
+	// shared signature. It runs before any schedule-dependent work.
+	PrepClasses   int `json:"prep_classes,omitempty" unit:"classes" class:"pure" help:"equivalence classes the prepass merged"`
+	PrepCollapsed int `json:"prep_collapsed,omitempty" unit:"cells" class:"pure" help:"cells folded by prepass merges"`
+	PrepChains    int `json:"prep_chains,omitempty" unit:"cells" class:"pure" help:"prepass memberships from the single-predecessor rule"`
 
-	// PeakLiveBytes is the highest runtime.ReadMemStats HeapAlloc
-	// observed at the solve's sample points (Options.TrackPeakMem only;
-	// zero otherwise). Machine-dependent; never part of any identity.
-	PeakLiveBytes uint64
-}
+	// Set interner: passes run (one per wave barrier plus the final pass),
+	// sets re-pointed at a canonical equal allocation, and the approximate
+	// block storage those events released (a set re-cloned by
+	// copy-on-write and interned again counts again). Epochs fall at wave
+	// barriers, so the family follows the schedule.
+	InternEpochs int `json:"intern_epochs,omitempty" unit:"passes" class:"schedule" help:"interning passes"`
+	InternSets   int `json:"intern_sets,omitempty" unit:"sets" class:"schedule" help:"sets re-pointed at a shared allocation"`
+	InternBytes  int `json:"intern_bytes,omitempty" unit:"bytes" class:"schedule" help:"approximate bytes released by sharing"`
 
-// TraversalsSaved is the headline counter: edge traversals avoided relative
-// to the naive per-fact schedule.
-func (w WaveStats) TraversalsSaved() int {
-	if w.FactCrossings <= w.EdgeBatches {
-		return 0
-	}
-	return w.FactCrossings - w.EdgeBatches
+	// PeakLiveBytes is the highest runtime.ReadMemStats HeapAlloc observed
+	// at the solve's sample points (Options.TrackPeakMem only).
+	PeakLiveBytes int `json:"peak_live_bytes,omitempty" unit:"bytes" class:"machine" merge:"max" help:"peak sampled live heap (-peak-mem only)"`
 }
 
 // cycleRedundancyTrigger re-arms SCC detection: when this many exact-edge

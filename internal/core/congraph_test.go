@@ -184,7 +184,7 @@ func TestWaveSchedulerSavesTraversals(t *testing.T) {
 		t.Errorf("cycle elim did not reduce edge batches: on=%d off=%d",
 			on.Wave.EdgeBatches, off.Wave.EdgeBatches)
 	}
-	if on.Wave.TraversalsSaved() == 0 {
+	if on.Wave.TraversalsSaved == 0 {
 		t.Errorf("no traversals saved on a 100-ring: %+v", on.Wave)
 	}
 }

@@ -31,8 +31,8 @@ import (
 //     deltas are invisible until the barrier), and the barrier consumes
 //     shard outputs in shard order, so which worker ran which shard — the
 //     only thing scheduling decides — cannot be observed. The single
-//     exception is the ParSteals counter, which is documented as
-//     schedule-dependent.
+//     exception is the ParSteals counter, declared machine-class
+//     (counters.go).
 //
 // Fact-set identity with the sequential executor then follows from the
 // fixpoint's confluence: both schedules fire every (watcher, fact) pair

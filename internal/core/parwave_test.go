@@ -133,8 +133,7 @@ func TestParallelDifferentialGOMAXPROCS(t *testing.T) {
 
 // TestParallelDeterministicCounters pins the determinism contract for the
 // schedule counters: at fixed Parallelism, repeated runs agree on every
-// WaveStats field except ParSteals (the one documented schedule-dependent
-// counter), and on Steps.
+// WaveStats counter outside the machine class, and on Steps.
 func TestParallelDeterministicCounters(t *testing.T) {
 	src, err := corpus.Source("compiler")
 	if err != nil {
@@ -145,7 +144,7 @@ func TestParallelDeterministicCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	normalize := func(w core.WaveStats) core.WaveStats {
-		w.ParSteals = 0
+		core.Zero(nil, &w, core.Machine)
 		return w
 	}
 	for _, sname := range metrics.StrategyNames {
@@ -170,6 +169,51 @@ func TestParallelDeterministicCounters(t *testing.T) {
 				t.Errorf("%s run %d: Steps=%d, first run %d", sname, run, got.Steps, first.Steps)
 			}
 		}
+	}
+}
+
+// TestParallelPureCounters pins the pure determinism class: every
+// pure-class counter (Figure 3's, SCC collapse, the prepass) is identical at
+// Parallelism 1 and 8 on every corpus program × strategy. The whole corpus
+// runs even under -short; tier1 runs it under -race.
+func TestParallelPureCounters(t *testing.T) {
+	pure := func(rec core.Recorder, w core.WaveStats) (core.Recorder, core.WaveStats) {
+		core.Zero(&rec, &w, core.Schedule)
+		core.Zero(&rec, &w, core.Machine)
+		return rec, w
+	}
+	sawParallel := false
+	for _, name := range corpus.SortedByGroup() {
+		src, err := corpus.Source(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := frontend.Load(src, frontend.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sname := range metrics.StrategyNames {
+			var wantRec core.Recorder
+			var wantWave core.WaveStats
+			for _, par := range []int{1, 8} {
+				strat := metrics.NewStrategy(sname, res.Layout)
+				got := core.AnalyzeWith(res.IR, strat, core.Options{Parallelism: par})
+				if got.Incomplete != nil {
+					t.Fatalf("%s/%s par=%d: incomplete: %v", name, sname, par, got.Incomplete)
+				}
+				sawParallel = sawParallel || got.Wave.ParWaves > 0
+				rec, wave := pure(*strat.Recorder(), got.Wave)
+				if par == 1 {
+					wantRec, wantWave = rec, wave
+				} else if rec != wantRec || wave != wantWave {
+					t.Errorf("%s/%s: pure counters differ at par=8:\n%+v %+v\npar=1:\n%+v %+v",
+						name, sname, rec, wave, wantRec, wantWave)
+				}
+			}
+		}
+	}
+	if !sawParallel {
+		t.Error("no corpus run engaged the parallel executor (ParWaves == 0 everywhere)")
 	}
 }
 

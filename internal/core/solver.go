@@ -213,10 +213,10 @@ type Options struct {
 	// shard each wave's ranked frontier across that many workers
 	// (parwave.go), with work stealing between them. Points-to fact sets
 	// are byte-identical at every setting and across runs at any
-	// GOMAXPROCS; schedule-dependent performance counters (Waves,
-	// EdgeBatches, FactCrossings, and the ParWave* family) are a
-	// deterministic function of (program, strategy, Parallelism) except
-	// WaveStats.ParSteals, which depends on runtime scheduling. The knob
+	// GOMAXPROCS, and so are the pure-class counters (counters.go); the
+	// schedule class is a deterministic function of (program, strategy,
+	// Parallelism), and the machine class (ParSteals) depends on runtime
+	// scheduling. The knob
 	// is inert — sequential — whenever the constraint-graph layer is off
 	// (NoCycleElim, resource Limits, or a non-exact-edge strategy).
 	Parallelism int
@@ -518,6 +518,7 @@ func (s *solver) finish(start time.Time) *Result {
 		s.internFinal()
 	}
 	s.samplePeak()
+	s.stats.TraversalsSaved = max(0, s.stats.FactCrossings-s.stats.EdgeBatches)
 	res := &Result{
 		Strategy:   s.strat,
 		Program:    s.prog,

@@ -7,24 +7,25 @@ import (
 
 // Recorder counts lookup/resolve activity, reproducing the instrumentation
 // behind Figure 3 of the paper (columns 5–8). Calls to lookup made from
-// inside resolve are not counted, matching the paper's footnote.
+// inside resolve are not counted, matching the paper's footnote. Each field
+// is a counter declared to the schema in counters.go by its tags.
 type Recorder struct {
-	LookupCalls      int
-	LookupStructs    int // calls that involved structures
-	LookupMismatches int // struct calls where the types did not match
+	LookupCalls      int `json:"lookup_calls" unit:"calls" class:"pure" help:"logical lookup calls (Figure 3)"`
+	LookupStructs    int `json:"lookup_structs" unit:"calls" class:"pure" help:"lookup calls that involved structures"`
+	LookupMismatches int `json:"lookup_mismatches" unit:"calls" class:"pure" help:"struct lookup calls whose types did not match"`
 
-	ResolveCalls      int
-	ResolveStructs    int
-	ResolveMismatches int
+	ResolveCalls      int `json:"resolve_calls" unit:"calls" class:"pure" help:"logical resolve calls (Figure 3)"`
+	ResolveStructs    int `json:"resolve_structs" unit:"calls" class:"pure" help:"resolve calls that involved structures"`
+	ResolveMismatches int `json:"resolve_mismatches" unit:"calls" class:"pure" help:"struct resolve calls whose types did not match"`
 
 	// Cache counters for the strategy-level memoization. The call counts
 	// above are LOGICAL calls — hits increment them too — so Figure 3's
 	// semantics are unchanged by caching; hits+misses always equals the
 	// corresponding call count.
-	LookupCacheHits    int
-	LookupCacheMisses  int
-	ResolveCacheHits   int
-	ResolveCacheMisses int
+	LookupCacheHits    int `json:"lookup_cache_hits,omitempty" unit:"calls" class:"schedule" help:"lookup calls served from the memo"`
+	LookupCacheMisses  int `json:"lookup_cache_misses,omitempty" unit:"calls" class:"schedule" help:"lookup calls computed and memoized"`
+	ResolveCacheHits   int `json:"resolve_cache_hits,omitempty" unit:"calls" class:"schedule" help:"resolve calls served from the memo"`
+	ResolveCacheMisses int `json:"resolve_cache_misses,omitempty" unit:"calls" class:"schedule" help:"resolve calls computed and memoized"`
 }
 
 func (r *Recorder) recordLookup(isStruct, mismatch bool) {

@@ -82,51 +82,11 @@ type RunJSON struct {
 	DurationNS   int64   `json:"duration_ns"`
 	Steps        int     `json:"steps,omitempty"`
 
-	LookupCalls       int `json:"lookup_calls"`
-	LookupStructs     int `json:"lookup_structs"`
-	LookupMismatches  int `json:"lookup_mismatches"`
-	ResolveCalls      int `json:"resolve_calls"`
-	ResolveStructs    int `json:"resolve_structs"`
-	ResolveMismatches int `json:"resolve_mismatches"`
-
-	// Memoization-cache effectiveness (logical lookup/resolve calls served
-	// from the per-strategy caches); omitted when memoization is off.
-	LookupCacheHits    int `json:"lookup_cache_hits,omitempty"`
-	LookupCacheMisses  int `json:"lookup_cache_misses,omitempty"`
-	ResolveCacheHits   int `json:"resolve_cache_hits,omitempty"`
-	ResolveCacheMisses int `json:"resolve_cache_misses,omitempty"`
-
-	// Constraint-graph layer counters. SCCs/cells/waves are zero unless
-	// online cycle elimination engaged; edge_batches and fact_crossings are
-	// counted for every dense run, so an ablation run (NoCycleElim) shows
-	// the naive schedule's traversal cost for comparison.
-	SCCsFound       int `json:"sccs_found,omitempty"`
-	CellsMerged     int `json:"cells_merged,omitempty"`
-	Waves           int `json:"waves,omitempty"`
-	EdgeBatches     int `json:"edge_batches,omitempty"`
-	FactCrossings   int `json:"fact_crossings,omitempty"`
-	TraversalsSaved int `json:"traversals_saved,omitempty"`
-
-	// Parallel wave-executor counters, zero on sequential runs. par_steals
-	// is schedule-dependent (it varies run to run); the others are
-	// deterministic at a fixed parallelism.
-	ParWaves    int `json:"par_waves,omitempty"`
-	ParShards   int `json:"par_shards,omitempty"`
-	ParSteals   int `json:"par_steals,omitempty"`
-	ParPendings int `json:"par_pendings,omitempty"`
-
-	// Offline-prepass and set-interner counters, zero under the NoPrepass
-	// ablation (or when the pair did not engage). The prep_* family is a
-	// deterministic function of (program, strategy); the intern_* family
-	// depends on wave structure and peak_live_bytes on the machine, so
-	// regression baselines zero them like the par_* family.
-	PrepClasses   int    `json:"prep_classes,omitempty"`
-	PrepCollapsed int    `json:"prep_collapsed,omitempty"`
-	PrepChains    int    `json:"prep_chains,omitempty"`
-	InternEpochs  int    `json:"intern_epochs,omitempty"`
-	InternSets    int    `json:"intern_sets,omitempty"`
-	InternBytes   int    `json:"intern_bytes,omitempty"`
-	PeakLiveBytes uint64 `json:"peak_live_bytes,omitempty"`
+	// Every solver counter under its declared name (core.Counters). The
+	// six Figure-3 counters are always present; the others are omitted
+	// when zero.
+	core.Recorder
+	core.WaveStats
 }
 
 // ProgramJSON is the JSON form of one benchmark program's measurements.
@@ -149,38 +109,13 @@ func Program(p *metrics.Program) ProgramJSON {
 	}
 	for name, r := range p.Runs {
 		out.Runs[name] = RunJSON{
-			Strategy:           r.Strategy,
-			AvgDerefSize:       r.AvgDerefSize,
-			TotalFacts:         r.TotalFacts,
-			DurationNS:         r.Duration.Nanoseconds(),
-			Steps:              r.Steps,
-			LookupCalls:        r.Recorder.LookupCalls,
-			LookupStructs:      r.Recorder.LookupStructs,
-			LookupMismatches:   r.Recorder.LookupMismatches,
-			ResolveCalls:       r.Recorder.ResolveCalls,
-			ResolveStructs:     r.Recorder.ResolveStructs,
-			ResolveMismatches:  r.Recorder.ResolveMismatches,
-			LookupCacheHits:    r.Recorder.LookupCacheHits,
-			LookupCacheMisses:  r.Recorder.LookupCacheMisses,
-			ResolveCacheHits:   r.Recorder.ResolveCacheHits,
-			ResolveCacheMisses: r.Recorder.ResolveCacheMisses,
-			SCCsFound:          r.Wave.SCCsFound,
-			CellsMerged:        r.Wave.CellsMerged,
-			Waves:              r.Wave.Waves,
-			EdgeBatches:        r.Wave.EdgeBatches,
-			FactCrossings:      r.Wave.FactCrossings,
-			TraversalsSaved:    r.Wave.TraversalsSaved(),
-			ParWaves:           r.Wave.ParWaves,
-			ParShards:          r.Wave.ParShards,
-			ParSteals:          r.Wave.ParSteals,
-			ParPendings:        r.Wave.ParPendings,
-			PrepClasses:        r.Wave.PrepClasses,
-			PrepCollapsed:      r.Wave.PrepCollapsed,
-			PrepChains:         r.Wave.PrepChains,
-			InternEpochs:       r.Wave.InternEpochs,
-			InternSets:         r.Wave.InternSets,
-			InternBytes:        r.Wave.InternBytes,
-			PeakLiveBytes:      r.Wave.PeakLiveBytes,
+			Strategy:     r.Strategy,
+			AvgDerefSize: r.AvgDerefSize,
+			TotalFacts:   r.TotalFacts,
+			DurationNS:   r.Duration.Nanoseconds(),
+			Steps:        r.Steps,
+			Recorder:     r.Recorder,
+			WaveStats:    r.Wave,
 		}
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/export"
 	"repro/internal/frontend"
 	"repro/internal/metrics"
@@ -109,5 +110,60 @@ func TestRoundTripStableOrder(t *testing.T) {
 	jb, _ := json.Marshal(b)
 	if !bytes.Equal(ja, jb) {
 		t.Error("export not deterministic")
+	}
+}
+
+// TestRunJSONCarriesEveryCounter checks the export document against the
+// counter schema: a solved corpus run (parallel, peak sampling on) shows
+// every nonzero counter under its declared name with its value, every key
+// is a run field or a declared counter, and a run with every counter set
+// has a key for every entry.
+func TestRunJSONCarriesEveryCounter(t *testing.T) {
+	src, err := corpus.Source("compiler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := metrics.Measure("compiler", src, frontend.Options{},
+		metrics.Options{SolveParallelism: 8, TrackPeakMem: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runKeys := func(run export.RunJSON) map[string]any {
+		raw, err := json.Marshal(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	fixed := map[string]bool{"strategy": true, "avg_deref_size": true, "total_facts": true, "duration_ns": true, "steps": true}
+	for name, run := range export.Program(p).Runs {
+		m := runKeys(run)
+		for _, c := range core.Counters {
+			v := *c.Field(&run.Recorder, &run.WaveStats)
+			got, ok := m[c.Name]
+			if (v != 0 && !ok) || (ok && got != float64(v)) {
+				t.Errorf("%s: %s = %v (present %v), run has %d", name, c.Name, got, ok, v)
+			}
+			delete(m, c.Name)
+		}
+		for k := range m {
+			if !fixed[k] {
+				t.Errorf("%s: key %q is neither a run field nor a declared counter", name, k)
+			}
+		}
+	}
+	var full export.RunJSON
+	for _, c := range core.Counters {
+		*c.Field(&full.Recorder, &full.WaveStats) = 1
+	}
+	m := runKeys(full)
+	for _, c := range core.Counters {
+		if _, ok := m[c.Name]; !ok {
+			t.Errorf("export JSON has no key for counter %s", c.Name)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package incr
 
 import (
+	"slices"
+
 	"repro/internal/cc/types"
 	"repro/internal/core"
 	"repro/internal/ir"
@@ -157,13 +159,23 @@ func (m *mirror) edge(e core.Edge) {
 // recorder pair, dropping the cache split (hit/miss attribution depends on
 // memo state accumulated across statements and is not carried over).
 func counterDiff(before, after core.Recorder) core.Recorder {
-	return core.Recorder{
-		LookupCalls:       after.LookupCalls - before.LookupCalls,
-		LookupStructs:     after.LookupStructs - before.LookupStructs,
-		LookupMismatches:  after.LookupMismatches - before.LookupMismatches,
-		ResolveCalls:      after.ResolveCalls - before.ResolveCalls,
-		ResolveStructs:    after.ResolveStructs - before.ResolveStructs,
-		ResolveMismatches: after.ResolveMismatches - before.ResolveMismatches,
+	var d core.Recorder
+	addPure(&d, &after, 1)
+	addPure(&d, &before, -1)
+	return d
+}
+
+// pureCalls lists the Recorder's pure-class counters: the Figure-3 calls,
+// which are what replay carries between solves.
+var pureCalls = slices.DeleteFunc(slices.Clone(core.Counters), func(c core.Counter) bool {
+	return c.Wave || c.Class != core.Pure
+})
+
+// addPure adds sign times src's pureCalls counters into dst.
+func addPure(dst, src *core.Recorder, sign int) {
+	for i := range pureCalls {
+		c := &pureCalls[i] // by pointer: no per-call copy of the entry
+		*c.Field(dst, nil) += sign * *c.Field(src, nil)
 	}
 }
 

@@ -217,12 +217,7 @@ func Resume(ctx context.Context, g *Graph, newSources []frontend.Source, cfg Con
 				mapped = append(mapped, core.Edge{Dst: ndst, Src: nsrc, Size: e.Size})
 			}
 			frozenEdges = append(frozenEdges, mapped...)
-			carry.LookupCalls += a.counts.LookupCalls
-			carry.LookupStructs += a.counts.LookupStructs
-			carry.LookupMismatches += a.counts.LookupMismatches
-			carry.ResolveCalls += a.counts.ResolveCalls
-			carry.ResolveStructs += a.counts.ResolveStructs
-			carry.ResolveMismatches += a.counts.ResolveMismatches
+			addPure(&carry, &a.counts, 1)
 			skip[newSt] = true
 		}
 		stats.StmtsSkipped = len(skip)
@@ -240,13 +235,7 @@ func Resume(ctx context.Context, g *Graph, newSources []frontend.Source, cfg Con
 	// Figure-3 counters byte-identical to a cold run. The cache hit/miss
 	// split is NOT carried (those calls never touched this run's memo), so
 	// on the warm path hits+misses accounts only for the live calls.
-	rec := strat.Recorder()
-	rec.LookupCalls += carry.LookupCalls
-	rec.LookupStructs += carry.LookupStructs
-	rec.LookupMismatches += carry.LookupMismatches
-	rec.ResolveCalls += carry.ResolveCalls
-	rec.ResolveStructs += carry.ResolveStructs
-	rec.ResolveMismatches += carry.ResolveMismatches
+	addPure(strat.Recorder(), &carry, 1)
 	stats.Outcome = "resumed"
 	stats.ConvergeTime = time.Since(start) - stats.DecodeTime
 	return newRes, result, stats, nil

@@ -18,6 +18,7 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/export"
 	"repro/internal/frontend"
@@ -97,7 +98,9 @@ func (d Drift) String() string {
 }
 
 // Compare returns every difference between the baseline and the current
-// evaluation. Duration fields are ignored (machine-dependent).
+// evaluation: statement and fact counts, set sizes, the struct-cast flag
+// and every pure-class counter. Durations and the schedule and machine
+// classes are not compared.
 func Compare(base, cur *export.Evaluation) []Drift {
 	var drifts []Drift
 	baseProgs := make(map[string]export.ProgramJSON)
@@ -134,10 +137,12 @@ func Compare(base, cur *export.Evaluation) []Drift {
 			}
 			check("total_facts", float64(brun.TotalFacts), float64(run.TotalFacts))
 			check("avg_deref_size", brun.AvgDerefSize, run.AvgDerefSize)
-			check("lookup_calls", float64(brun.LookupCalls), float64(run.LookupCalls))
-			check("lookup_mismatches", float64(brun.LookupMismatches), float64(run.LookupMismatches))
-			check("resolve_calls", float64(brun.ResolveCalls), float64(run.ResolveCalls))
-			check("resolve_mismatches", float64(brun.ResolveMismatches), float64(run.ResolveMismatches))
+			for _, c := range core.Counters {
+				if c.Class == core.Pure {
+					check(c.Name, float64(*c.Field(&brun.Recorder, &brun.WaveStats)),
+						float64(*c.Field(&run.Recorder, &run.WaveStats)))
+				}
+			}
 		}
 	}
 	// Removed programs.
@@ -161,37 +166,20 @@ func b2f(b bool) float64 {
 }
 
 // Update writes the current evaluation to the baseline file at root/
-// BaselinePath (durations are zeroed so baseline diffs stay clean). When the
-// evaluation ran with intra-solve parallelism, the schedule-dependent
-// counters — waves, edge batches, fact crossings and the par_* family — are
-// zeroed too: they are deterministic only at a fixed executor configuration,
-// so a baseline recorded in parallel must not pin them against future
-// sequential (or differently-sharded) runs. The intern_* family follows the
-// wave schedule the same way, so it is zeroed alongside par_*; prep_* is a
-// pure function of (program, strategy) but is zeroed there too so a parallel
-// baseline pins only parallelism-invariant observables. peak_live_bytes is
-// machine-dependent and always zeroed. Fact counts, set sizes and the
-// Figure-3 counters are identical at every parallelism and stay pinned.
+// BaselinePath. Durations and machine-class counters are zeroed so baseline
+// diffs stay clean. When the evaluation ran with intra-solve parallelism,
+// the schedule-class counters are zeroed too: they are fixed only at one
+// executor configuration, so a baseline recorded in parallel must not pin
+// them against future sequential (or differently-sharded) runs. Fact
+// counts, set sizes and the pure-class counters (Figure 3's among them) are
+// identical at every parallelism and stay pinned.
 func Update(root string, ev *export.Evaluation) error {
 	for i := range ev.Programs {
 		for name, run := range ev.Programs[i].Runs {
 			run.DurationNS = 0
-			run.PeakLiveBytes = 0
+			core.Zero(&run.Recorder, &run.WaveStats, core.Machine)
 			if ev.SolveParallelism > 1 {
-				run.Waves = 0
-				run.EdgeBatches = 0
-				run.FactCrossings = 0
-				run.TraversalsSaved = 0
-				run.ParWaves = 0
-				run.ParShards = 0
-				run.ParSteals = 0
-				run.ParPendings = 0
-				run.PrepClasses = 0
-				run.PrepCollapsed = 0
-				run.PrepChains = 0
-				run.InternEpochs = 0
-				run.InternSets = 0
-				run.InternBytes = 0
+				core.Zero(&run.Recorder, &run.WaveStats, core.Schedule)
 			}
 			ev.Programs[i].Runs[name] = run
 		}

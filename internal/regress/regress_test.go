@@ -1,9 +1,13 @@
 package regress
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/export"
 )
 
@@ -52,7 +56,7 @@ func TestCompareDetectsDrift(t *testing.T) {
 				Name:     "p",
 				NumStmts: 10,
 				Runs: map[string]export.RunJSON{
-					"cis": {TotalFacts: 100, AvgDerefSize: 1.5, LookupCalls: 7},
+					"cis": {TotalFacts: 100, AvgDerefSize: 1.5, Recorder: core.Recorder{LookupCalls: 7}},
 				},
 			}},
 		}
@@ -79,5 +83,73 @@ func TestCompareDetectsAddedRemovedPrograms(t *testing.T) {
 	drifts := Compare(base, cur)
 	if len(drifts) != 2 {
 		t.Fatalf("drifts = %v", drifts)
+	}
+}
+
+// TestCompareChecksEveryPureCounter bumps each pure counter in turn in a
+// copy of the baseline — lookup_structs and resolve_structs, behind Figure
+// 3's "% struct" columns, among them — and expects exactly that drift.
+func TestCompareChecksEveryPureCounter(t *testing.T) {
+	base, ok, err := Baseline()
+	if err != nil || !ok {
+		t.Fatalf("baseline: ok=%v err=%v", ok, err)
+	}
+	for _, c := range core.Counters {
+		if c.Class != core.Pure {
+			continue
+		}
+		cur, _, _ := Baseline()
+		p := &cur.Programs[0]
+		run := p.Runs["common-initial-seq"]
+		*c.Field(&run.Recorder, &run.WaveStats) += 1
+		p.Runs["common-initial-seq"] = run
+		drifts := Compare(base, cur)
+		if len(drifts) != 1 || drifts[0].Field != c.Name || drifts[0].Program != p.Name {
+			t.Errorf("bumped %s: drifts = %v", c.Name, drifts)
+		}
+	}
+}
+
+// TestUpdateZeroesByClass records a baseline under a temporary root from a
+// run with every counter set: machine counters are always zeroed, schedule
+// counters only when the evaluation ran with intra-solve parallelism, and
+// pure counters are kept.
+func TestUpdateZeroesByClass(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		root := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(root, filepath.Dir(BaselinePath)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		run := export.RunJSON{Strategy: "cis", TotalFacts: 5, DurationNS: 7}
+		for _, c := range core.Counters {
+			*c.Field(&run.Recorder, &run.WaveStats) = 3
+		}
+		ev := &export.Evaluation{ABI: "lp64", SolveParallelism: par, Programs: []export.ProgramJSON{
+			{Name: "p", Runs: map[string]export.RunJSON{"cis": run}},
+		}}
+		if err := Update(root, ev); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(root, BaselinePath))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got export.Evaluation
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
+		}
+		r := got.Programs[0].Runs["cis"]
+		if r.DurationNS != 0 || r.TotalFacts != 5 {
+			t.Errorf("par=%d: duration %d, facts %d", par, r.DurationNS, r.TotalFacts)
+		}
+		for _, c := range core.Counters {
+			want := 3
+			if c.Class == core.Machine || (c.Class == core.Schedule && par > 1) {
+				want = 0
+			}
+			if v := *c.Field(&r.Recorder, &r.WaveStats); v != want {
+				t.Errorf("par=%d: %s (%s) = %d, want %d", par, c.Name, c.Class, v, want)
+			}
+		}
 	}
 }

@@ -6,8 +6,10 @@ package report
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -192,136 +194,75 @@ func Summary(w io.Writer, progs []*metrics.Program) {
 	fmt.Fprintln(w)
 }
 
-// WaveStats renders the solver's constraint-graph counters: copy-edge SCCs
-// collapsed by online cycle elimination, cells merged, topological waves
-// run, and the batched vs per-fact edge traversal counts, per (program,
-// instance). The Offsets instance never engages the layer (its range edges
-// are excluded from collapse) and is omitted.
+// classNote says what each determinism class promises.
+var classNote = []struct {
+	class core.Class
+	note  string
+}{
+	{core.Pure, "equal at every -solve-parallel"},
+	{core.Schedule, "fixed at one -solve-parallel"},
+	{core.Machine, "vary run to run"},
+}
+
+// WaveStats renders the solver's counters (core.WaveStats) per (program,
+// instance), one table per determinism class. A table has a column for each
+// counter some run recorded and a row for each run that recorded one of
+// them; a legend under it gives each column's unit and meaning.
 func WaveStats(w io.Writer, progs []*metrics.Program) {
-	fmt.Fprintln(w, "Solver constraint-graph stats: online cycle elimination + wave scheduling")
-	fmt.Fprintln(w, "(saved = per-fact edge crossings avoided by batched topological propagation)")
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-12s %-10s %6s %7s %6s %9s %10s %10s\n",
-		"program", "strategy", "sccs", "merged", "waves", "batches", "crossings", "saved")
-	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 78))
-	var tot metrics.Run
-	for _, p := range progs {
-		for _, s := range metrics.StrategyNames {
-			r := p.Runs[s]
-			if r == nil || s == "offsets" {
-				continue
-			}
-			ws := r.Wave
-			fmt.Fprintf(w, "%-12s %-10s %6d %7d %6d %9d %10d %10d\n",
-				p.Name, shortLabel[s], ws.SCCsFound, ws.CellsMerged, ws.Waves,
-				ws.EdgeBatches, ws.FactCrossings, ws.TraversalsSaved())
-			tot.Wave.SCCsFound += ws.SCCsFound
-			tot.Wave.CellsMerged += ws.CellsMerged
-			tot.Wave.Waves += ws.Waves
-			tot.Wave.EdgeBatches += ws.EdgeBatches
-			tot.Wave.FactCrossings += ws.FactCrossings
-		}
-	}
-	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 78))
-	fmt.Fprintf(w, "%-12s %-10s %6d %7d %6d %9d %10d %10d\n",
-		"total", "", tot.Wave.SCCsFound, tot.Wave.CellsMerged, tot.Wave.Waves,
-		tot.Wave.EdgeBatches, tot.Wave.FactCrossings, tot.Wave.TraversalsSaved())
-	fmt.Fprintln(w)
-	prepStats(w, progs)
-	parStats(w, progs)
-}
-
-// prepStats renders the offline constraint-reduction and set-interner
-// counters when any run engaged the pair (NoPrepass evaluations print
-// nothing extra). The prep_* columns are a deterministic function of
-// (program, strategy); the intern_* columns depend on the wave schedule.
-func prepStats(w io.Writer, progs []*metrics.Program) {
-	engaged := false
+	var tot core.WaveStats
 	for _, p := range progs {
 		for _, r := range p.Runs {
-			if r.Wave.PrepCollapsed > 0 || r.Wave.InternSets > 0 {
-				engaged = true
-			}
+			tot.Add(r.Wave)
 		}
 	}
-	if !engaged {
-		return
-	}
-	fmt.Fprintln(w, "Offline prepass + hash-consed sets: pre-fixpoint merges, shared allocations")
-	fmt.Fprintln(w, "(classes/collapsed/chains are deterministic; intern columns follow the schedule;")
-	fmt.Fprintln(w, " peak-live is the barrier-sampled heap, populated only under -peak-mem)")
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-12s %-10s %8s %10s %7s %7s %9s %12s %10s\n",
-		"program", "strategy", "classes", "collapsed", "chains", "epochs", "interned", "bytes-shared", "peak-live")
-	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 93))
-	var tc, tcol, tch, te, ti, tb int
-	for _, p := range progs {
-		for _, s := range metrics.StrategyNames {
-			r := p.Runs[s]
-			if r == nil || s == "offsets" {
-				continue
+	for _, cn := range classNote {
+		var cols []core.Counter
+		for _, c := range core.Counters {
+			if c.Wave && c.Class == cn.class && *c.Field(nil, &tot) != 0 {
+				cols = append(cols, c)
 			}
-			ws := r.Wave
-			if ws.PrepClasses == 0 && ws.PrepCollapsed == 0 && ws.InternSets == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "%-12s %-10s %8d %10d %7d %7d %9d %12d %10d\n",
-				p.Name, shortLabel[s], ws.PrepClasses, ws.PrepCollapsed, ws.PrepChains,
-				ws.InternEpochs, ws.InternSets, ws.InternBytes, ws.PeakLiveBytes)
-			tc += ws.PrepClasses
-			tcol += ws.PrepCollapsed
-			tch += ws.PrepChains
-			te += ws.InternEpochs
-			ti += ws.InternSets
-			tb += ws.InternBytes
+		}
+		if len(cols) > 0 {
+			counterTable(w, progs, cols, &tot, fmt.Sprintf("Solver counters, %s (%s)", cn.class, cn.note))
 		}
 	}
-	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 93))
-	fmt.Fprintf(w, "%-12s %-10s %8d %10d %7d %7d %9d %12d\n",
-		"total", "", tc, tcol, tch, te, ti, tb)
-	fmt.Fprintln(w)
 }
 
-// parStats renders the work-stealing wave-executor counters when any run
-// engaged it (sequential evaluations print nothing extra). Steals are the
-// one schedule-dependent column; everything else repeats exactly at a fixed
-// -solve-parallel.
-func parStats(w io.Writer, progs []*metrics.Program) {
-	engaged := false
-	for _, p := range progs {
-		for _, r := range p.Runs {
-			if r.Wave.ParWaves > 0 {
-				engaged = true
-			}
-		}
-	}
-	if !engaged {
-		return
-	}
-	fmt.Fprintln(w, "Parallel wave executor: sharded frontiers, work stealing, barrier merges")
-	fmt.Fprintln(w, "(steals vary run to run; all other columns are deterministic)")
+// counterTable renders one class's table: the given columns per run, the
+// total row (peaks merge by max), then the unit/help legend.
+func counterTable(w io.Writer, progs []*metrics.Program, cols []core.Counter, tot *core.WaveStats, title string) {
+	fmt.Fprintln(w, title)
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-12s %-10s %9s %8s %7s %9s\n",
-		"program", "strategy", "parwaves", "shards", "steals", "pendings")
-	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 60))
-	var tw, ts, tst, tp int
+	width := make([]int, len(cols))
+	line := fmt.Sprintf("%-12s %-8s", "program", "strategy")
+	for i, c := range cols {
+		width[i] = max(len(c.Name), len(fmt.Sprint(*c.Field(nil, tot))))
+		line += fmt.Sprintf(" %*s", width[i], c.Name)
+	}
+	rule := strings.Repeat("-", len(line))
+	fmt.Fprintf(w, "%s\n%s\n", line, rule)
+	row := func(prog, strat string, ws *core.WaveStats) {
+		fmt.Fprintf(w, "%-12s %-8s", prog, strat)
+		for i, c := range cols {
+			fmt.Fprintf(w, " %*d", width[i], *c.Field(nil, ws))
+		}
+		fmt.Fprintln(w)
+	}
 	for _, p := range progs {
 		for _, s := range metrics.StrategyNames {
-			r := p.Runs[s]
-			if r == nil || r.Wave.ParWaves == 0 {
-				continue
+			if r := p.Runs[s]; r != nil && slices.ContainsFunc(cols, func(c core.Counter) bool {
+				return *c.Field(nil, &r.Wave) != 0
+			}) {
+				row(p.Name, shortLabel[s], &r.Wave)
 			}
-			ws := r.Wave
-			fmt.Fprintf(w, "%-12s %-10s %9d %8d %7d %9d\n",
-				p.Name, shortLabel[s], ws.ParWaves, ws.ParShards, ws.ParSteals, ws.ParPendings)
-			tw += ws.ParWaves
-			ts += ws.ParShards
-			tst += ws.ParSteals
-			tp += ws.ParPendings
 		}
 	}
-	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 60))
-	fmt.Fprintf(w, "%-12s %-10s %9d %8d %7d %9d\n", "total", "", tw, ts, tst, tp)
+	fmt.Fprintln(w, rule)
+	row("total", "", tot)
+	fmt.Fprintln(w)
+	for _, c := range cols {
+		fmt.Fprintf(w, "  %-16s %-10s %s\n", c.Name, c.Unit, c.Help)
+	}
 	fmt.Fprintln(w)
 }
 

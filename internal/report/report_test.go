@@ -78,3 +78,22 @@ func TestSummaryRendering(t *testing.T) {
 		}
 	}
 }
+
+func TestWaveStatsTablesByClass(t *testing.T) {
+	var sb strings.Builder
+	report.WaveStats(&sb, measureTwo(t))
+	out := sb.String()
+	// A sequential run records pure and schedule counters but no machine
+	// ones (no steals, no -peak-mem sampling), so that table is omitted.
+	for _, want := range []string{"Solver counters, pure", "prep_collapsed", "cells folded by prepass merges",
+		"Solver counters, schedule", "edge_batches", "total"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("WaveStats output missing %q:\n%s", want, out)
+		}
+	}
+	for _, absent := range []string{"Solver counters, machine", "par_waves"} {
+		if strings.Contains(out, absent) {
+			t.Errorf("WaveStats output has %q though no run recorded it:\n%s", absent, out)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -126,28 +128,39 @@ type SolverVarz struct {
 	Canceled   int64 `json:"canceled"`    // solves abandoned by cancellation
 	InFlightNS int64 `json:"inflight_ns"` // total wall time spent solving
 
-	// Constraint-graph layer totals (online cycle elimination + wave
-	// scheduling in the dense solver).
-	SCCsFound       int64 `json:"sccs_found"`       // copy-edge cycles collapsed
-	CellsMerged     int64 `json:"cells_merged"`     // cells folded into representatives
-	Waves           int64 `json:"waves"`            // topological passes run
-	TraversalsSaved int64 `json:"traversals_saved"` // edge traversals avoided vs per-fact schedule
+	// Every solver counter summed over those solves (peak_live_bytes
+	// keeps the maximum). MarshalJSON writes each under its declared name,
+	// zero or not.
+	core.WaveStats `json:"-"`
+}
 
-	// Work-stealing wave-executor totals, all zero while solves run
-	// sequentially (the default unless Options.Parallelism > 1 reaches the
-	// solver). Steals are schedule-dependent; the rest are deterministic
-	// per solve at a fixed parallelism.
-	ParWaves  int64 `json:"par_waves"`  // frontiers executed sharded
-	ParShards int64 `json:"par_shards"` // shards claimed across those waves
-	ParSteals int64 `json:"par_steals"` // shards claimed from another worker's queue
+// MarshalJSON writes the fields above, then every solver counter.
+func (v SolverVarz) MarshalJSON() ([]byte, error) {
+	type fields SolverVarz
+	out, err := json.Marshal(fields(v))
+	if err != nil {
+		return nil, err
+	}
+	counters := make(map[string]int)
+	for _, c := range core.Counters {
+		if p := c.Field(nil, &v.WaveStats); p != nil {
+			counters[c.Name] = *p
+		}
+	}
+	rest, err := json.Marshal(counters)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(out[:len(out)-1], ','), rest[1:]...), nil
+}
 
-	// Offline-prepass and set-interner totals (constraint reduction before
-	// the fixpoint, hash-consed points-to set sharing during it); zero when
-	// the pair did not engage.
-	PrepClasses   int64 `json:"prep_classes"`   // equivalence classes merged pre-fixpoint
-	PrepCollapsed int64 `json:"prep_collapsed"` // cells folded by those merges
-	InternSets    int64 `json:"intern_sets"`    // sets re-pointed at a shared allocation
-	InternBytes   int64 `json:"intern_bytes"`   // approximate bytes released by sharing
+// UnmarshalJSON reads the fields above and every solver counter.
+func (v *SolverVarz) UnmarshalJSON(data []byte) error {
+	type fields SolverVarz
+	if err := json.Unmarshal(data, (*fields)(v)); err != nil {
+		return err
+	}
+	return json.Unmarshal(data, &v.WaveStats)
 }
 
 // statusRecorder captures the response status for metrics.

@@ -44,10 +44,12 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/export"
 	"repro/internal/fault"
@@ -113,17 +115,9 @@ type Server struct {
 	// found no resident graph, and resumes that fell back to a cold solve.
 	incrHits, incrMisses, incrFallbacks atomic.Int64
 
-	// Constraint-graph layer totals across all solves (cycle elimination +
-	// wave scheduling; see pointsto.SolverStats).
-	solveSCCs, solveMerged, solveWaves atomic.Int64
-	solveTravSaved                     atomic.Int64
-
-	// Parallel wave-executor totals (zero while solves run sequentially).
-	solveParWaves, solveParShards, solveParSteals atomic.Int64
-
-	// Offline-prepass and set-interner totals.
-	solvePrepClasses, solvePrepCollapsed atomic.Int64
-	solveInternSets, solveInternBytes    atomic.Int64
+	// Every solver counter summed over all solves (see SolverVarz).
+	solverMu     sync.Mutex
+	solverTotals core.WaveStats
 }
 
 // New builds a Server over the given cache.
@@ -454,18 +448,9 @@ func (s *Server) solveSnapshot(ctx context.Context, endpoint, key, base string, 
 			return nil, aerr
 		}
 		s.solveSteps.Add(int64(rep.Steps()))
-		ss := rep.SolverStats()
-		s.solveSCCs.Add(int64(ss.SCCsFound))
-		s.solveMerged.Add(int64(ss.CellsMerged))
-		s.solveWaves.Add(int64(ss.Waves))
-		s.solveTravSaved.Add(int64(ss.TraversalsSaved))
-		s.solveParWaves.Add(int64(ss.ParWaves))
-		s.solveParShards.Add(int64(ss.ParShards))
-		s.solveParSteals.Add(int64(ss.ParSteals))
-		s.solvePrepClasses.Add(int64(ss.PrepClasses))
-		s.solvePrepCollapsed.Add(int64(ss.PrepCollapsed))
-		s.solveInternSets.Add(int64(ss.InternSets))
-		s.solveInternBytes.Add(int64(ss.InternBytes))
+		s.solverMu.Lock()
+		s.solverTotals.Add(rep.SolverStats())
+		s.solverMu.Unlock()
 		if rep.Incomplete() != nil {
 			s.solveIncomplete.Add(1)
 		}
@@ -664,23 +649,12 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 		Cache:         s.cfg.Store.Stats(),
 		Demand:        s.sessions.varz(),
 		Solver: SolverVarz{
-			Solves:          s.solves.Load(),
-			Steps:           s.solveSteps.Load(),
-			Incomplete:      s.solveIncomplete.Load(),
-			Rejected:        s.solveRejected.Load(),
-			Canceled:        s.solveCanceled.Load(),
-			InFlightNS:      s.solveNS.Load(),
-			SCCsFound:       s.solveSCCs.Load(),
-			CellsMerged:     s.solveMerged.Load(),
-			Waves:           s.solveWaves.Load(),
-			TraversalsSaved: s.solveTravSaved.Load(),
-			ParWaves:        s.solveParWaves.Load(),
-			ParShards:       s.solveParShards.Load(),
-			ParSteals:       s.solveParSteals.Load(),
-			PrepClasses:     s.solvePrepClasses.Load(),
-			PrepCollapsed:   s.solvePrepCollapsed.Load(),
-			InternSets:      s.solveInternSets.Load(),
-			InternBytes:     s.solveInternBytes.Load(),
+			Solves:     s.solves.Load(),
+			Steps:      s.solveSteps.Load(),
+			Incomplete: s.solveIncomplete.Load(),
+			Rejected:   s.solveRejected.Load(),
+			Canceled:   s.solveCanceled.Load(),
+			InFlightNS: s.solveNS.Load(),
 		},
 		Endpoints: make(map[string]EndpointJSON, len(s.endpoints)),
 		Incr: IncrVarz{
@@ -713,5 +687,8 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 			Latency:   ep.latency.snapshot(),
 		}
 	}
+	s.solverMu.Lock()
+	varz.Solver.WaveStats = s.solverTotals
+	s.solverMu.Unlock()
 	writeJSON(w, http.StatusOK, varz)
 }

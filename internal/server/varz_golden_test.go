@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // cyclicProgram contains a two-variable copy cycle, so solving it collapses
@@ -106,5 +108,32 @@ func TestVarzShapeGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("/varz shape drifted from %s\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
+	}
+}
+
+// TestVarzSolverCarriesEveryCounter checks /varz against the counter
+// schema: after a corpus solve, the solver block has a key for every
+// WaveStats counter, and decoding it back into Varz recovers each value.
+func TestVarzSolverCarriesEveryCounter(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if resp, raw := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Corpus: "compiler"}); resp.StatusCode != 200 {
+		t.Fatalf("analyze: status %d: %s", resp.StatusCode, raw)
+	}
+	var doc struct {
+		Solver map[string]float64 `json:"solver"`
+	}
+	getJSON(t, ts.URL+"/varz", &doc)
+	v := varz(t, ts.URL)
+	if v.Solver.Solves != 1 || v.Solver.EdgeBatches == 0 {
+		t.Fatalf("solver block after one corpus solve: %+v", v.Solver)
+	}
+	for _, c := range core.Counters {
+		p := c.Field(nil, &v.Solver.WaveStats)
+		if p == nil {
+			continue // a Recorder counter: not a solver total
+		}
+		if got, ok := doc.Solver[c.Name]; !ok || got != float64(*p) {
+			t.Errorf("/varz solver.%s = %v (present %v), decoded %d", c.Name, got, ok, *p)
+		}
 	}
 }

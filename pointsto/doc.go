@@ -44,13 +44,27 @@
 // fact sets, set sizes and the Figure-3 counters all match the sequential
 // solve — so the knob is excluded from content-addressed cache keys
 // (store.Key) and from incremental graph identity; only wall time and the
-// SolverStats Par* schedule counters change.
+// schedule- and machine-class SolverStats counters change.
 //
 // Options.NoPrepass ablates the offline constraint-reduction prepass and
 // the hash-consed points-to-set pool the same way: the pair changes peak
 // memory and wall time, never the answer, so NoPrepass (and TrackPeakMem)
 // are likewise excluded from cache keys and graph identity. The pair's
 // work is visible only through SolverStats (Prep*/Intern*/PeakLiveBytes).
+//
+// # Counters
+//
+// Report.SolverStats returns the solver's counters for one run. Each field
+// is declared once, with its struct tags giving the JSON name used by the
+// export document and /varz, a unit, help text and a determinism class:
+//
+//   - pure: a function of (program, strategy), equal at every Parallelism
+//     (SCCsFound, CellsMerged, Prep*; the export document's Figure-3
+//     lookup/resolve counters are pure too);
+//   - schedule: fixed at one Parallelism (Waves, EdgeBatches,
+//     FactCrossings, TraversalsSaved, ParWaves, ParShards, ParPendings,
+//     Intern*);
+//   - machine: varies run to run (ParSteals, PeakLiveBytes).
 //
 // # Incremental re-analysis
 //

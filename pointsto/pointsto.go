@@ -429,81 +429,17 @@ func (r *Report) Names() []string {
 // Steps returns the number of worklist steps the solver performed.
 func (r *Report) Steps() int { return r.result.Steps }
 
-// SolverStats describes the work done by the solver's constraint-graph
-// layer (online cycle elimination + topological wave scheduling).
-type SolverStats struct {
-	// SCCsFound is the number of copy-edge cycles collapsed.
-	SCCsFound int
-	// CellsMerged is the number of cells folded into a representative.
-	CellsMerged int
-	// Waves is the number of topological passes the scheduler ran.
-	Waves int
-	// EdgeBatches is the number of batched copy-edge traversals performed.
-	EdgeBatches int
-	// FactCrossings is the number of (edge, fact) pairs those batches
-	// carried — the cost a per-fact schedule would have paid.
-	FactCrossings int
-	// TraversalsSaved is FactCrossings − EdgeBatches (floored at zero).
-	TraversalsSaved int
-	// ParWaves is the number of waves the parallel shard executor ran
-	// (zero when Options.Parallelism resolved to 1, or the wave layer was
-	// off, or every frontier stayed under the parallel threshold).
-	ParWaves int
-	// ParShards is the number of shard drains those parallel waves did.
-	ParShards int
-	// ParSteals counts shards claimed from another worker's queue. It is
-	// the only schedule-dependent counter (varies run to run); everything
-	// else here is deterministic at a fixed Parallelism.
-	ParSteals int
-	// ParPendings is the number of cross-shard pending delta buffers
-	// merged at wave barriers.
-	ParPendings int
-	// PrepClasses, PrepCollapsed and PrepChains describe the offline
-	// constraint-reduction prepass: equivalence classes merged before the
-	// fixpoint, cells folded into another representative by those merges,
-	// and the subset of memberships proven by the single-predecessor
-	// (copy-chain) rule. All zero under Options.NoPrepass.
-	PrepClasses   int
-	PrepCollapsed int
-	PrepChains    int
-	// InternEpochs, InternSets and InternBytes describe the hash-consed
-	// set interner: passes run, sets re-pointed at a canonical equal
-	// allocation, and the approximate bytes those aliasing events
-	// released. Epoch placement follows wave barriers, so the family is
-	// schedule-dependent (like ParSteals, excluded from baselines).
-	InternEpochs int
-	InternSets   int
-	InternBytes  int
-	// PeakLiveBytes is the peak sampled live heap under
-	// Options.TrackPeakMem (zero otherwise; machine-dependent).
-	PeakLiveBytes uint64
-}
+// SolverStats holds the solver's counters for one run: cycle elimination,
+// wave scheduling, the parallel executor, the offline prepass and the set
+// interner. Each field's tags give its JSON name, unit, help text and
+// determinism class (pure, schedule or machine); see the package
+// documentation.
+type SolverStats = core.WaveStats
 
-// SolverStats returns the constraint-graph layer's counters for this run.
-// The SCC and wave counters are zero when cycle elimination did not engage
-// (the Offsets instance, runs under Limits, or Config ablations).
-func (r *Report) SolverStats() SolverStats {
-	w := r.result.Wave
-	return SolverStats{
-		SCCsFound:       w.SCCsFound,
-		CellsMerged:     w.CellsMerged,
-		Waves:           w.Waves,
-		EdgeBatches:     w.EdgeBatches,
-		FactCrossings:   w.FactCrossings,
-		TraversalsSaved: w.TraversalsSaved(),
-		ParWaves:        w.ParWaves,
-		ParShards:       w.ParShards,
-		ParSteals:       w.ParSteals,
-		ParPendings:     w.ParPendings,
-		PrepClasses:     w.PrepClasses,
-		PrepCollapsed:   w.PrepCollapsed,
-		PrepChains:      w.PrepChains,
-		InternEpochs:    w.InternEpochs,
-		InternSets:      w.InternSets,
-		InternBytes:     w.InternBytes,
-		PeakLiveBytes:   w.PeakLiveBytes,
-	}
-}
+// SolverStats returns the solver's counters for this run. The SCC and wave
+// counters are zero when cycle elimination did not engage (the Offsets
+// instance, runs under Limits, or Config ablations).
+func (r *Report) SolverStats() SolverStats { return r.result.Wave }
 
 // pointsToSet unions the points-to sets of every object with the name.
 func (r *Report) pointsToSet(name string) core.CellSet {

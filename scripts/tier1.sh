@@ -26,12 +26,21 @@ fi
 echo "== go test"
 go test ./...
 
+echo "== perfbench module (build, vet, test; compiles against the repo's API)"
+(
+	cd perfbench
+	export GOWORK=off GOPROXY=off GOTOOLCHAIN=local
+	go build -o /dev/null .
+	go vet ./...
+	go test ./...
+)
+
 echo "== go test -race (parallel driver must be race-clean)"
 go test -race ./internal/core/... ./internal/corpus/...
 
 echo "== parallel wave executor differential (-race, GOMAXPROCS above cores)"
 GOMAXPROCS=8 go test -race -short -count=1 \
-	-run 'TestParallelSolverMatchesSequential|TestParallelDifferentialGOMAXPROCS|TestParallelCancellationMidWave|TestPrepassDifferentialCorpusParallel' \
+	-run 'TestParallelSolverMatchesSequential|TestParallelDifferentialGOMAXPROCS|TestParallelCancellationMidWave|TestPrepassDifferentialCorpusParallel|TestParallelPureCounters' \
 	./internal/core
 
 echo "== prepass differential + large-generator smoke (small scale)"
