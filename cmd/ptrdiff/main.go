@@ -114,7 +114,7 @@ func run() error {
 	var rows []row
 	perVar := make(map[string]map[string][2]bool) // var -> target -> [inA, inB]
 	collect := func(r *core.Result, idx int) {
-		r.Cells(func(c core.Cell, set core.CellSet) {
+		r.Facts(func(c core.Cell, targets []core.Cell) {
 			if c.Obj.IsTemp() {
 				return
 			}
@@ -124,7 +124,7 @@ func run() error {
 				m = make(map[string][2]bool)
 				perVar[name] = m
 			}
-			for tc := range set {
+			for _, tc := range targets {
 				v := m[tc.Obj.Name]
 				v[idx] = true
 				m[tc.Obj.Name] = v

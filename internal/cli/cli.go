@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/cc/layout"
 	"repro/internal/core"
@@ -50,33 +51,15 @@ func ResolveInput(corpusName string, paths []string) ([]frontend.Source, error) 
 	return sources, nil
 }
 
-// FormatSet renders a points-to set as "{a, b, c}".
-func FormatSet(set core.CellSet) string {
-	s := "{"
-	for i, t := range set.Sorted() {
-		if i > 0 {
-			s += ", "
-		}
-		s += t.String()
-	}
-	return s + "}"
+// FormatSet formats display-ordered target names as "{a, b, c}".
+func FormatSet(targets []string) string {
+	return "{" + strings.Join(targets, ", ") + "}"
 }
 
 // PrintAll writes every named variable's points-to set, sorted.
 func PrintAll(w io.Writer, result *core.Result) {
-	type row struct {
-		cell, tgts string
-	}
-	var rows []row
-	for _, c := range result.SortedCells() {
-		if c.Obj.IsTemp() {
-			continue
-		}
-		rows = append(rows, row{cell: c.String(), tgts: FormatSet(result.PointsToCell(c))})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].cell < rows[j].cell })
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-24s -> %s\n", r.cell, r.tgts)
+	for _, r := range result.Rows() {
+		fmt.Fprintf(w, "%-24s -> %s\n", r.Cell, FormatSet(r.Targets))
 	}
 }
 
@@ -87,7 +70,7 @@ func PrintVar(w io.Writer, result *core.Result, prog *ir.Program, name string) b
 	for _, o := range prog.Objects {
 		if (o.Sym != nil && o.Sym.Name == name) || o.Name == name {
 			found = true
-			fmt.Fprintf(w, "%s -> %s\n", o.Name, FormatSet(result.PointsTo(o, nil)))
+			fmt.Fprintf(w, "%s -> %s\n", o.Name, FormatSet(result.Targets(o)))
 		}
 	}
 	return found
@@ -137,12 +120,9 @@ func WriteDot(w io.Writer, result *core.Result) {
 	fmt.Fprintln(w, "digraph pointsto {")
 	fmt.Fprintln(w, "  node [shape=box, fontname=\"monospace\"];")
 	var lines []string
-	for _, c := range result.SortedCells() {
-		if c.Obj.IsTemp() {
-			continue
-		}
-		for _, t := range result.PointsToCell(c).Sorted() {
-			lines = append(lines, fmt.Sprintf("  %q -> %q;", c.String(), t.String()))
+	for _, r := range result.Rows() {
+		for _, t := range r.Targets {
+			lines = append(lines, fmt.Sprintf("  %q -> %q;", r.Cell, t))
 		}
 	}
 	sort.Strings(lines)

@@ -142,6 +142,20 @@ func (b *Bits) subsumes(o *Bits) bool {
 	return true
 }
 
+// intersects reports whether b and o share an id — one AND per shared block.
+func (b *Bits) intersects(o *Bits) bool {
+	bi := 0
+	for _, ob := range o.blocks {
+		for bi < len(b.blocks) && b.blocks[bi].idx < ob.idx {
+			bi++
+		}
+		if bi < len(b.blocks) && b.blocks[bi].idx == ob.idx && b.blocks[bi].word&ob.word != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // UnionInPlace adds every id of o to b, returning how many were new.
 // o is not modified; b and o may not alias unless identical (a self-union
 // is a no-op).

@@ -75,29 +75,32 @@ func (s CellSet) Has(c Cell) bool {
 // Len returns the number of cells.
 func (s CellSet) Len() int { return len(s) }
 
-// Sorted returns the cells in a stable display order.
+// Sorted returns the cells in a stable display order (cellLess).
 func (s CellSet) Sorted() []Cell {
 	out := make([]Cell, 0, len(s))
 	for c := range s {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Obj != b.Obj {
-			if a.Obj.Name != b.Obj.Name {
-				return a.Obj.Name < b.Obj.Name
-			}
-			return a.Obj.ID < b.Obj.ID
-		}
-		if a.Off != b.Off {
-			return a.Off < b.Off
-		}
-		if a.Path != b.Path {
-			return a.Path < b.Path
-		}
-		return !a.ByOff && b.ByOff
-	})
+	sort.Slice(out, func(i, j int) bool { return cellLess(out[i], out[j]) })
 	return out
+}
+
+// cellLess is the display order of cells: by object name, object ID,
+// offset, path, and whole-object before offset 0.
+func cellLess(a, b Cell) bool {
+	if a.Obj != b.Obj {
+		if a.Obj.Name != b.Obj.Name {
+			return a.Obj.Name < b.Obj.Name
+		}
+		return a.Obj.ID < b.Obj.ID
+	}
+	if a.Off != b.Off {
+		return a.Off < b.Off
+	}
+	if a.Path != b.Path {
+		return a.Path < b.Path
+	}
+	return !a.ByOff && b.ByOff
 }
 
 // Edge is a copy constraint produced by resolve: facts arriving at (a range

@@ -242,15 +242,15 @@ func TestWaveCancellationSoundPartial(t *testing.T) {
 				t.Fatalf("%s (polls=%d): reason = %s, want canceled",
 					name, polls, lim.Incomplete.Reason)
 			}
-			lim.Cells(func(c core.Cell, set core.CellSet) {
+			for _, c := range lim.SortedCells() {
 				fullSet := full.PointsToCell(c)
-				for tgt := range set {
+				for tgt := range lim.PointsToCell(c) {
 					if !fullSet.Has(tgt) {
 						t.Errorf("%s (polls=%d): partial fact %s -> %s not in reference fixpoint",
 							name, polls, c, tgt)
 					}
 				}
-			})
+			}
 		}
 		if !stopped {
 			t.Errorf("%s: no countdown produced a cancelled wave", name)

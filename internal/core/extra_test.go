@@ -168,9 +168,11 @@ func TestResultAPIs(t *testing.T) {
 		t.Fatalf("PointsToCell len = %d", set.Len())
 	}
 	count := 0
-	res.Cells(func(c core.Cell, s core.CellSet) { count += s.Len() })
+	for _, c := range res.SortedCells() {
+		count += res.PointsToCell(c).Len()
+	}
 	if count != res.TotalFacts() {
-		t.Errorf("Cells total %d != TotalFacts %d", count, res.TotalFacts())
+		t.Errorf("SortedCells total %d != TotalFacts %d", count, res.TotalFacts())
 	}
 	sorted := set.Sorted()
 	if len(sorted) != 1 || sorted[0].Obj.Name != "x" {

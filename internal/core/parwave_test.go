@@ -269,14 +269,14 @@ func TestParallelCancellationMidWave(t *testing.T) {
 		if lim.Wave.ParWaves > 0 {
 			midWave = true
 		}
-		lim.Cells(func(c core.Cell, set core.CellSet) {
+		for _, c := range lim.SortedCells() {
 			fullSet := full.PointsToCell(c)
-			for tgt := range set {
+			for tgt := range lim.PointsToCell(c) {
 				if !fullSet.Has(tgt) {
 					t.Errorf("polls=%d: partial fact %s -> %s not in reference fixpoint", polls, c, tgt)
 				}
 			}
-		})
+		}
 	}
 	if !stopped {
 		t.Error("no countdown produced a canceled parallel solve")

@@ -19,7 +19,9 @@ import (
 
 // AnalyzeReference runs the retained map-based solver. Results, resource
 // limits and instrumentation behave identically to AnalyzeWith; only the
-// internal representation (and therefore speed) differs.
+// solve's internal representation (and therefore speed) differs. After the
+// solve's clock stops, the facts are handed back in the dense form every
+// Result holds.
 func AnalyzeReference(prog *ir.Program, strat Strategy, opts Options) *Result {
 	s := &refSolver{
 		limits:   opts.Limits,
@@ -38,15 +40,29 @@ func AnalyzeReference(prog *ir.Program, strat Strategy, opts Options) *Result {
 	}
 	start := time.Now()
 	s.run()
-	return &Result{
+	res := &Result{
 		Strategy:   strat,
 		Program:    prog,
-		pts:        s.pts,
+		table:      NewCellTable(),
 		Duration:   time.Since(start),
 		Steps:      s.steps,
 		Incomplete: s.stop,
 		Misuses:    s.misuses,
 	}
+	for c, set := range s.pts {
+		res.table.ID(c)
+		for t := range set {
+			res.table.ID(t)
+		}
+	}
+	res.dense = make([]Bits, res.table.Len())
+	for c, set := range s.pts {
+		b := &res.dense[res.table.ID(c)]
+		for t := range set {
+			b.Add(res.table.ID(t))
+		}
+	}
+	return res
 }
 
 // memPair identifies one (destination target, source target) pair of a

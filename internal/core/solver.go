@@ -13,20 +13,15 @@ import (
 	"repro/internal/ir"
 )
 
-// Result is the outcome of one analysis run.
-//
-// The solver produces results in the dense CellID/Bits representation; the
-// map[Cell]CellSet view that PointsTo, PointsToCell and Cells expose is
-// materialized lazily, once, on first use (metrics-only consumers — Total-
-// Facts, SiteSetSize, AvgDerefSetSize — read the dense form directly and
-// never pay for it). Materialization is guarded by a sync.Once, so a Result
-// remains safe for concurrent use.
+// Result is the outcome of one analysis run. It holds its facts in one
+// form, the dense one: a CellTable, one Bits set per CellID and the
+// cycle-merge redirect. Metrics and membership queries walk the Bits;
+// string dumps read the rendering of render.go, built once on first use,
+// off the solve clock. A Result is safe for concurrent use.
 type Result struct {
 	Strategy Strategy
 	Program  *ir.Program
 
-	// Dense form (nil table for results built by AnalyzeReference, which
-	// constructs the map view directly).
 	table *CellTable
 	dense []Bits
 
@@ -38,8 +33,8 @@ type Result struct {
 	// without merging.
 	redirect []CellID
 
-	matOnce sync.Once
-	pts     map[Cell]CellSet
+	viewOnce sync.Once
+	view     *rendering
 
 	Duration time.Duration
 
@@ -62,118 +57,101 @@ type Result struct {
 	Misuses []Misuse
 }
 
-// set returns the dense points-to set of id, following the cycle-merge
-// redirect when one exists.
-func (r *Result) set(id CellID) *Bits {
+// noBits is the (empty) set of a cell the run never interned.
+var noBits Bits
+
+// rep returns id's cycle-merge representative.
+func (r *Result) rep(id CellID) CellID {
 	if r.redirect != nil {
-		id = r.redirect[id]
+		return r.redirect[id]
 	}
-	return &r.dense[id]
+	return id
 }
 
-// points returns the map view, materializing it from the dense form on
-// first use.
-func (r *Result) points() map[Cell]CellSet {
-	r.matOnce.Do(func() {
-		if r.pts != nil {
-			return // built directly by the reference solver
-		}
-		m := make(map[Cell]CellSet)
-		for id := range r.dense {
-			set := r.set(CellID(id))
-			if set.Len() == 0 {
-				continue
-			}
-			cs := make(CellSet, set.Len())
-			set.Iterate(func(t CellID) { cs[r.table.Cell(t)] = struct{}{} })
-			m[r.table.Cell(CellID(id))] = cs
-		}
-		r.pts = m
-	})
-	return r.pts
+// set returns the dense points-to set of id, following the cycle-merge
+// redirect when one exists. The returned set must not be modified.
+func (r *Result) set(id CellID) *Bits { return &r.dense[r.rep(id)] }
+
+// baseSet returns the points-to set of obj's base cell (empty when the run
+// never interned it).
+func (r *Result) baseSet(obj *ir.Object) *Bits {
+	if id, ok := r.table.Find(r.Strategy.Normalize(obj, nil)); ok {
+		return r.set(id)
+	}
+	return &noBits
 }
 
 // PointsTo returns the points-to set of the normalized cell for obj.path.
 func (r *Result) PointsTo(obj *ir.Object, path ir.Path) CellSet {
-	c := r.Strategy.Normalize(obj, path)
-	return r.points()[c]
+	return r.PointsToCell(r.Strategy.Normalize(obj, path))
 }
 
-// PointsToCell returns the points-to set of a cell.
-func (r *Result) PointsToCell(c Cell) CellSet { return r.points()[c] }
+// PointsToCell returns a fresh copy of the points-to set of a cell (nil
+// when the set is empty).
+func (r *Result) PointsToCell(c Cell) CellSet {
+	id, ok := r.table.Find(c)
+	if !ok || r.set(id).Len() == 0 {
+		return nil
+	}
+	set := r.set(id)
+	cs := make(CellSet, set.Len())
+	set.Iterate(func(t CellID) { cs[r.table.Cell(t)] = struct{}{} })
+	return cs
+}
 
-// Cells iterates over all cells with non-empty points-to sets, in map order.
-// Use SortedCells when the iteration order must be deterministic.
-func (r *Result) Cells(fn func(c Cell, set CellSet)) {
-	for c, s := range r.points() {
-		if len(s) > 0 {
-			fn(c, s)
+// EachTarget calls fn for every cell in the points-to set of obj's base
+// cell, in CellID order.
+func (r *Result) EachTarget(obj *ir.Object, fn func(Cell)) {
+	r.baseSet(obj).Iterate(func(t CellID) { fn(r.table.Cell(t)) })
+}
+
+// MayAlias reports whether some object of a and some object of b have
+// intersecting base-cell points-to sets.
+func (r *Result) MayAlias(a, b []*ir.Object) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if r.baseSet(x).intersects(r.baseSet(y)) {
+				return true
+			}
 		}
 	}
+	return false
 }
 
 // SortedCells returns every cell with a non-empty points-to set in the
 // stable display order of CellSet.Sorted, so dumps, graphs and golden tests
-// do not depend on Go's randomized map iteration.
+// do not depend on interning order.
 func (r *Result) SortedCells() []Cell {
-	pts := r.points()
-	cells := make(CellSet, len(pts))
-	for c, s := range pts {
-		if len(s) > 0 {
-			cells[c] = struct{}{}
+	var out []Cell
+	for _, id := range r.render().order {
+		if r.set(id).Len() > 0 {
+			out = append(out, r.table.Cell(id))
 		}
 	}
-	return cells.Sorted()
+	return out
 }
 
 // NumCells returns the number of cells the run interned — for a full solve,
 // every cell any statement or fact touched; for a demand slice, only the
 // cells of the explored subgraph. It is the denominator of the demand
 // engine's slice-size ratio.
-func (r *Result) NumCells() int {
-	if r.table != nil {
-		return r.table.Len()
-	}
-	return len(r.pts)
-}
+func (r *Result) NumCells() int { return r.table.Len() }
 
 // TotalFacts is the total number of points-to edges (Figure 6's metric).
-// It reads the dense form and does not materialize the map view.
 func (r *Result) TotalFacts() int {
-	if r.table != nil {
-		n := 0
-		for i := range r.dense {
-			n += r.set(CellID(i)).Len()
-		}
-		return n
-	}
 	n := 0
-	for _, s := range r.pts {
-		n += len(s)
+	for i := range r.dense {
+		n += r.set(CellID(i)).Len()
 	}
 	return n
 }
 
 // SiteSetSize returns the (expanded) points-to set size of a dereference
 // site: the number of fields the dereferenced pointer may reference, with
-// collapsed facts expanded per-field as in Figure 4. Like TotalFacts it
-// reads the dense form directly.
+// collapsed facts expanded per-field as in Figure 4.
 func (r *Result) SiteSetSize(site *ir.DerefSite) int {
-	if r.table != nil {
-		c := r.Strategy.Normalize(site.Ptr, nil)
-		id, ok := r.table.Find(c)
-		if !ok || int(id) >= len(r.dense) {
-			return 0
-		}
-		n := 0
-		r.set(id).Iterate(func(t CellID) { n += r.Strategy.ExpandedSize(r.table.Cell(t)) })
-		return n
-	}
-	set := r.PointsTo(site.Ptr, nil)
 	n := 0
-	for c := range set {
-		n += r.Strategy.ExpandedSize(c)
-	}
+	r.EachTarget(site.Ptr, func(t Cell) { n += r.Strategy.ExpandedSize(t) })
 	return n
 }
 
@@ -427,34 +405,19 @@ func (s *solver) restoreEdge(e Edge) {
 	s.edgeIdx[e.Src.Obj] = append(s.edgeIdx[e.Src.Obj], e)
 }
 
-// DenseState exposes a dense result's final solver state for serialization
-// by the incremental-resume subsystem: every interned cell in first-seen
-// order, the union-find redirect produced by online cycle elimination (nil
-// when no cells merged — every cell is its own representative), and each
-// representative's points-to set as sorted CellIDs (nil both for empty sets
-// and for merged-away members, whose facts live on their representative).
-// It returns ok=false for results built by AnalyzeReference, which have no
-// dense form.
-func (r *Result) DenseState() (cells []Cell, redirect []CellID, sets [][]CellID, ok bool) {
-	if r.table == nil {
-		return nil, nil, nil, false
-	}
-	n := r.table.Len()
-	cells = make([]Cell, n)
-	for i := 0; i < n; i++ {
-		cells[i] = r.table.Cell(CellID(i))
-	}
-	sets = make([][]CellID, n)
-	for i := 0; i < n; i++ {
-		id := CellID(i)
-		if r.redirect != nil && r.redirect[id] != id {
+// Facts calls fn for every cell with a non-empty points-to set, in
+// interning order, with its targets in CellID order: the form the
+// incremental-resume subsystem captures. fn owns the targets slice.
+func (r *Result) Facts(fn func(c Cell, targets []Cell)) {
+	for i, c := range r.table.cells {
+		set := r.set(CellID(i))
+		if set.Len() == 0 {
 			continue
 		}
-		if b := &r.dense[id]; b.Len() > 0 {
-			sets[i] = b.AppendTo(make([]CellID, 0, b.Len()))
-		}
+		targets := make([]Cell, 0, set.Len())
+		set.Iterate(func(t CellID) { targets = append(targets, r.table.cells[t]) })
+		fn(c, targets)
 	}
-	return cells, r.redirect, sets, true
 }
 
 // newSolver builds a solver over the program with empty fact state; run (or

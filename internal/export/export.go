@@ -7,7 +7,7 @@ package export
 import (
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/ir"
@@ -15,10 +15,7 @@ import (
 )
 
 // PointsTo is the JSON form of one cell's points-to set.
-type PointsTo struct {
-	Cell    string   `json:"cell"`
-	Targets []string `json:"targets"`
-}
+type PointsTo = core.Row
 
 // ResultJSON is the JSON form of one analysis run.
 type ResultJSON struct {
@@ -39,17 +36,7 @@ func Result(r *core.Result, includeSets bool) ResultJSON {
 		DurationNS:   r.Duration.Nanoseconds(),
 	}
 	if includeSets {
-		r.Cells(func(c core.Cell, set core.CellSet) {
-			if c.Obj.IsTemp() {
-				return
-			}
-			pt := PointsTo{Cell: c.String()}
-			for _, t := range set.Sorted() {
-				pt.Targets = append(pt.Targets, t.String())
-			}
-			out.Sets = append(out.Sets, pt)
-		})
-		sort.Slice(out.Sets, func(i, j int) bool { return out.Sets[i].Cell < out.Sets[j].Cell })
+		out.Sets = slices.Clone(r.Rows())
 	}
 	return out
 }

@@ -76,12 +76,7 @@ func NewSnapshot(r *pointsto.Report, abi string) *Snapshot {
 		}
 		s.Vars[name] = targets
 	}
-	for _, set := range r.Sets() {
-		if len(set.Targets) == 0 {
-			continue
-		}
-		s.Sets = append(s.Sets, PointsTo{Cell: set.Cell, Targets: set.Targets})
-	}
+	s.Sets = r.Sets()
 	if inc := r.Incomplete(); inc != nil {
 		s.Incomplete = &IncompleteJSON{
 			Reason: inc.Reason,

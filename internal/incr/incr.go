@@ -191,10 +191,9 @@ func (g *Graph) NumFacts() int {
 }
 
 // Capture folds a completed solve into a resumable Graph. The result must
-// come from the dense solver (core.Analyze*), must have reached fixpoint,
-// and must have been produced under cfg over exactly these sources;
-// violations are errors, not fallbacks, because a miscaptured graph would
-// poison every later Resume.
+// have reached fixpoint and must have been produced under cfg over exactly
+// these sources; violations are errors, not fallbacks, because a
+// miscaptured graph would poison every later Resume.
 func Capture(sources []frontend.Source, cfg Config, res *frontend.Result, result *core.Result) (*Graph, error) {
 	cfg = cfg.withDefaults()
 	if result.Incomplete != nil {
@@ -203,16 +202,6 @@ func Capture(sources []frontend.Source, cfg Config, res *frontend.Result, result
 	if name := result.Strategy.Name(); name != cfg.Strategy {
 		return nil, fmt.Errorf("incr: result solved under %q, config says %q", name, cfg.Strategy)
 	}
-	cells, redirect, sets, ok := result.DenseState()
-	if !ok {
-		return nil, fmt.Errorf("incr: reference-solver results have no dense state to capture")
-	}
-	rep := func(id core.CellID) core.CellID {
-		for redirect != nil && redirect[id] != id {
-			id = redirect[id]
-		}
-		return id
-	}
 	g := &Graph{
 		cfg:     cfg,
 		sources: append([]frontend.Source(nil), sources...),
@@ -220,18 +209,10 @@ func Capture(sources []frontend.Source, cfg Config, res *frontend.Result, result
 		units:   fingerprints(res.IR),
 		facts:   make(map[core.Cell][]core.Cell),
 	}
-	for i := range cells {
-		set := sets[rep(core.CellID(i))]
-		if len(set) == 0 {
-			continue
-		}
-		targets := make([]core.Cell, len(set))
-		for j, id := range set {
-			targets[j] = cells[id]
-		}
-		g.order = append(g.order, cells[i])
-		g.facts[cells[i]] = targets
-	}
+	result.Facts(func(c core.Cell, targets []core.Cell) {
+		g.order = append(g.order, c)
+		g.facts[c] = targets
+	})
 	return g, nil
 }
 

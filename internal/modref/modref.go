@@ -67,29 +67,21 @@ func Compute(prog *ir.Program, res *core.Result) *Summary {
 		}
 		switch st.Op {
 		case ir.OpStore:
-			for c := range res.PointsTo(st.Ptr, nil) {
-				eff.Mod[c.Obj] = true
-			}
+			res.EachTarget(st.Ptr, func(c core.Cell) { eff.Mod[c.Obj] = true })
 		case ir.OpLoad:
-			for c := range res.PointsTo(st.Ptr, nil) {
-				eff.Ref[c.Obj] = true
-			}
+			res.EachTarget(st.Ptr, func(c core.Cell) { eff.Ref[c.Obj] = true })
 		case ir.OpMemCopy:
-			for c := range res.PointsTo(st.Ptr, nil) {
-				eff.Mod[c.Obj] = true
-			}
-			for c := range res.PointsTo(st.Src, nil) {
-				eff.Ref[c.Obj] = true
-			}
+			res.EachTarget(st.Ptr, func(c core.Cell) { eff.Mod[c.Obj] = true })
+			res.EachTarget(st.Src, func(c core.Cell) { eff.Ref[c.Obj] = true })
 		case ir.OpCall:
-			for c := range res.PointsTo(st.Ptr, nil) {
+			res.EachTarget(st.Ptr, func(c core.Cell) {
 				if c.Obj.Kind != ir.ObjFunc || c.Obj.Sym == nil {
-					continue
+					return
 				}
 				if callee := prog.FuncOf[c.Obj.Sym]; callee != nil {
 					s.Callees[st.Fn][callee] = true
 				}
-			}
+			})
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -441,34 +442,12 @@ type SolverStats = core.WaveStats
 // instance, runs under Limits, or Config ablations).
 func (r *Report) SolverStats() SolverStats { return r.result.Wave }
 
-// pointsToSet unions the points-to sets of every object with the name.
-func (r *Report) pointsToSet(name string) core.CellSet {
-	objs := r.objects(name)
-	if len(objs) == 1 {
-		return r.result.PointsTo(objs[0], nil)
-	}
-	union := make(core.CellSet)
-	for _, o := range objs {
-		for c := range r.result.PointsTo(o, nil) {
-			union.Add(c)
-		}
-	}
-	return union
-}
-
 // PointsTo returns the points-to set of the named variable's base cell as
 // sorted cell names ("x", "s.s1", "heap@12", ...). Names shared by several
-// scopes are conservatively unioned; unknown names yield nil.
+// scopes are conservatively unioned; unknown names yield nil. The slice may
+// be shared with other callers and with Sets: it is read-only.
 func (r *Report) PointsTo(name string) []string {
-	set := r.pointsToSet(name)
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(set))
-	for _, c := range set.Sorted() {
-		out = append(out, c.String())
-	}
-	return out
+	return r.result.Targets(r.objects(name)...)
 }
 
 // Lookup is PointsTo with unknown-name detection: a name the analyzed
@@ -485,41 +464,19 @@ func (r *Report) Lookup(name string) ([]string, error) {
 // MayAlias reports whether the two named pointers may reference the same
 // cell, by intersecting their points-to sets. Unknown names never alias.
 func (r *Report) MayAlias(a, b string) bool {
-	sa := r.pointsToSet(a)
-	if len(sa) == 0 {
-		return false
-	}
-	for c := range r.pointsToSet(b) {
-		if sa.Has(c) {
-			return true
-		}
-	}
-	return false
+	return r.result.MayAlias(r.objects(a), r.objects(b))
 }
 
-// Set is one cell's points-to set in display form.
-type Set struct {
-	Cell    string   // the pointer cell ("p", "s.s1", ...)
-	Targets []string // sorted target cells
-}
+// Set is one cell's points-to set in display form: the pointer cell ("p",
+// "s.s1", ...) and its sorted target cells. Targets is shared — with every
+// cell whose set the solver merged with this one, and with PointsTo's
+// answers — so it is read-only.
+type Set = core.Row
 
 // Sets returns every named (non-temporary) cell with a non-empty points-to
-// set, sorted by cell, with sorted targets.
-func (r *Report) Sets() []Set {
-	var out []Set
-	for _, c := range r.result.SortedCells() {
-		if c.Obj.IsTemp() {
-			continue
-		}
-		s := Set{Cell: c.String()}
-		for _, t := range r.result.PointsToCell(c).Sorted() {
-			s.Targets = append(s.Targets, t.String())
-		}
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Cell < out[j].Cell })
-	return out
-}
+// set, sorted by cell, with sorted targets. The returned slice is the
+// caller's; the Targets slices inside it are shared and read-only.
+func (r *Report) Sets() []Set { return slices.Clone(r.result.Rows()) }
 
 // summary computes the MOD/REF side-effect summary once per report (safe
 // under concurrent queries).

@@ -35,8 +35,9 @@ echo "== perfbench module (build, vet, test; compiles against the repo's API)"
 	go test ./...
 )
 
-echo "== go test -race (parallel driver must be race-clean)"
+echo "== go test -race (parallel driver and result rendering must be race-clean)"
 go test -race ./internal/core/... ./internal/corpus/...
+go test -race -count=5 -run 'TestReportRenderingConcurrent' ./pointsto
 
 echo "== parallel wave executor differential (-race, GOMAXPROCS above cores)"
 GOMAXPROCS=8 go test -race -short -count=1 \
@@ -49,11 +50,11 @@ go test -short -count=1 \
 	./internal/core ./internal/corpus
 
 echo "== fuzz smoke (frontend + solver + interner + snapshot decoder must never panic)"
-go test -run='^$' -fuzz=FuzzLoad -fuzztime=10s ./internal/frontend
-go test -run='^$' -fuzz=FuzzSolve -fuzztime=10s ./internal/core
-go test -run='^$' -fuzz=FuzzBitsIntern -fuzztime=10s ./internal/core
-go test -run='^$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/export
-go test -run='^$' -fuzz=FuzzGraphSnapshotDecode -fuzztime=10s ./internal/incr
+go test -run='^$' -fuzz=FuzzLoad -fuzztime=10s -fuzzminimizetime=1s ./internal/frontend
+go test -run='^$' -fuzz=FuzzSolve -fuzztime=10s -fuzzminimizetime=1s ./internal/core
+go test -run='^$' -fuzz=FuzzBitsIntern -fuzztime=10s -fuzzminimizetime=1s ./internal/core
+go test -run='^$' -fuzz=FuzzSnapshotDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/export
+go test -run='^$' -fuzz=FuzzGraphSnapshotDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/incr
 
 if command -v curl >/dev/null 2>&1; then
 	echo "== chaos smoke (overload + fault injection + crash-safe restart)"
