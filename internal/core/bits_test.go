@@ -260,7 +260,7 @@ func TestCellTable(t *testing.T) {
 	cells := []Cell{
 		{Obj: o1},
 		{Obj: o1, Off: 8, ByOff: true},
-		{Obj: o2, Path: "f.g"},
+		{Obj: o2, Node: 2},
 		{Obj: o1, Off: 0, ByOff: true}, // distinct from the bare o1 cell
 	}
 	for i, c := range cells {

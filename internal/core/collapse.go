@@ -13,12 +13,10 @@ import (
 //	lookup(τ, α, t.β)     = { t }
 //	resolve(s.α, t.β, τ)  = { ⟨s, t⟩ }
 type CollapseAlways struct {
-	rec  Recorder
-	memo memoTable
+	rec Recorder
 }
 
 var _ Strategy = (*CollapseAlways)(nil)
-var _ Memoizer = (*CollapseAlways)(nil)
 
 // NewCollapseAlways returns the Collapse Always instance.
 func NewCollapseAlways() *CollapseAlways { return &CollapseAlways{} }
@@ -34,40 +32,22 @@ func (s *CollapseAlways) Normalize(obj *ir.Object, _ ir.Path) Cell {
 	return Cell{Obj: obj}
 }
 
-// SetMemoization implements Memoizer.
-func (s *CollapseAlways) SetMemoization(on bool) { s.memo.SetMemoization(on) }
-
 // exactEdges implements exactEdger: edges carry exactly their source cell.
 func (s *CollapseAlways) exactEdges() bool { return true }
 
-// Lookup implements Strategy (memoized; see memo.go).
+// Lookup implements Strategy. Unlike the field-based instances it is not
+// memoized: building its one-cell answer is cheaper than hashing a memo key.
 func (s *CollapseAlways) Lookup(τ *types.Type, _ ir.Path, target Cell) []Cell {
 	// The instance performs no type test (Figure 3's mismatch columns do
 	// not apply); struct involvement is still recorded.
 	s.rec.recordLookup(isRecordType(τ) || objIsRecord(target.Obj), false)
-	key := lookupKey{τ: τ, target: target}
-	if v, ok := s.memo.getLookup(key); ok {
-		s.rec.LookupCacheHits++
-		return v.cells
-	}
-	cells := []Cell{{Obj: target.Obj}}
-	s.memo.putLookup(key, lookupVal{cells: cells})
-	s.rec.LookupCacheMisses++
-	return cells
+	return []Cell{{Obj: target.Obj}}
 }
 
-// Resolve implements Strategy (memoized; see memo.go).
+// Resolve implements Strategy (not memoized, like Lookup).
 func (s *CollapseAlways) Resolve(dst, src Cell, τ *types.Type) []Edge {
 	s.rec.recordResolve(isRecordType(τ) || objIsRecord(dst.Obj) || objIsRecord(src.Obj), false)
-	key := resolveKey{dst: dst, src: src, τ: τ}
-	if v, ok := s.memo.getResolve(key); ok {
-		s.rec.ResolveCacheHits++
-		return v.edges
-	}
-	edges := []Edge{{Dst: Cell{Obj: dst.Obj}, Src: Cell{Obj: src.Obj}}}
-	s.memo.putResolve(key, resolveVal{edges: edges})
-	s.rec.ResolveCacheMisses++
-	return edges
+	return []Edge{{Dst: Cell{Obj: dst.Obj}, Src: Cell{Obj: src.Obj}}}
 }
 
 // CellsOf implements Strategy: one cell per object.

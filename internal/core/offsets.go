@@ -25,13 +25,11 @@ type Offsets struct {
 	lay  *layout.Engine
 	gran int64
 	rec  Recorder
-	memo memoTable
 
 	leafCache map[*types.Type][]int64
 }
 
 var _ Strategy = (*Offsets)(nil)
-var _ Memoizer = (*Offsets)(nil)
 
 // NewOffsets returns the Offsets instance over the given layout engine.
 func NewOffsets(lay *layout.Engine) *Offsets {
@@ -188,50 +186,32 @@ func (s *Offsets) Normalize(obj *ir.Object, path ir.Path) Cell {
 	return Cell{Obj: obj, Off: off, ByOff: true}
 }
 
-// SetMemoization implements Memoizer.
-func (s *Offsets) SetMemoization(on bool) { s.memo.SetMemoization(on) }
-
-// Lookup implements Strategy (memoized; see memo.go).
+// Lookup implements Strategy. Unlike the field-based instances it is not
+// memoized: an offset sum is cheaper than hashing a memo key.
 func (s *Offsets) Lookup(τ *types.Type, path ir.Path, target Cell) []Cell {
 	// No type test (results depend only on the declared type's layout);
 	// mismatch columns do not apply to this instance.
 	s.rec.recordLookup(isRecordType(τ) || objIsRecord(target.Obj), false)
-	key := lookupKey{τ: τ, path: JoinPath(path), target: target}
-	if v, ok := s.memo.getLookup(key); ok {
-		s.rec.LookupCacheHits++
-		return v.cells
-	}
-	var cells []Cell
 	if off, ok := s.canon(target.Obj, target.Off+s.offsetOf(τ, path)); ok {
-		cells = []Cell{{Obj: target.Obj, Off: off, ByOff: true}}
-	} // else: out-of-bounds access, no referent (Assumption 1)
-	s.memo.putLookup(key, lookupVal{cells: cells})
-	s.rec.LookupCacheMisses++
-	return cells
+		return []Cell{{Obj: target.Obj, Off: off, ByOff: true}}
+	}
+	return nil // out-of-bounds access, no referent (Assumption 1)
 }
 
-// Resolve implements Strategy (memoized; see memo.go).
+// Resolve implements Strategy (not memoized, like Lookup).
 func (s *Offsets) Resolve(dst, src Cell, τ *types.Type) []Edge {
 	s.rec.recordResolve(isRecordType(τ) || objIsRecord(dst.Obj) || objIsRecord(src.Obj), false)
-	key := resolveKey{dst: dst, src: src, τ: τ}
-	if v, ok := s.memo.getResolve(key); ok {
-		s.rec.ResolveCacheHits++
-		return v.edges
-	}
 	size := int64(-1) // unknown extent: copy everything from the offsets on
 	if τ != nil {
 		if n := s.lay.Sizeof(τ); n > 0 {
 			size = n
 		}
 	}
-	edges := []Edge{{
+	return []Edge{{
 		Dst:  Cell{Obj: dst.Obj, Off: dst.Off, ByOff: true},
 		Src:  Cell{Obj: src.Obj, Off: src.Off, ByOff: true},
 		Size: size,
 	}}
-	s.memo.putResolve(key, resolveVal{edges: edges})
-	s.rec.ResolveCacheMisses++
-	return edges
 }
 
 // CellsOf implements Strategy: the byte offsets of every scalar leaf of the

@@ -25,6 +25,13 @@ type rendering struct {
 	rows  []Row
 }
 
+// pather is implemented by strategies whose cells' field paths are already
+// rendered in their leaf tables (the field-based instances); the renderer
+// falls back to Cell.Path, which walks the object's type, for the rest.
+type pather interface {
+	pathOf(c Cell) string
+}
+
 func (r *Result) render() *rendering {
 	r.viewOnce.Do(func() {
 		cells := r.table.cells
@@ -34,13 +41,24 @@ func (r *Result) render() *rendering {
 			names: make([]string, len(cells)),
 			sets:  make([][]string, len(cells)),
 		}
-		for i := range v.order {
-			v.order[i] = CellID(i)
+		pathOf := Cell.Path
+		if p, ok := r.Strategy.(pather); ok {
+			pathOf = p.pathOf
 		}
-		sort.Slice(v.order, func(i, j int) bool { return cellLess(cells[v.order[i]], cells[v.order[j]]) })
+		paths := make([]string, len(cells))
+		for i, c := range cells {
+			v.order[i] = CellID(i)
+			if c.Node != 0 {
+				paths[i] = pathOf(c)
+			}
+		}
+		sort.Slice(v.order, func(i, j int) bool {
+			a, b := v.order[i], v.order[j]
+			return cellLess(cells[a], cells[b], paths[a], paths[b])
+		})
 		for k, id := range v.order {
 			v.rank[id] = uint32(k)
-			v.names[k] = cells[id].String()
+			v.names[k] = cells[id].name(paths[id])
 		}
 		var buf []uint32
 		for i := range r.dense {

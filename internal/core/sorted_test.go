@@ -11,19 +11,27 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cc/types"
 	"repro/internal/core"
 	"repro/internal/frontend"
 	"repro/internal/ir"
 )
 
 func TestCellSetSortedOrdering(t *testing.T) {
-	oa := &ir.Object{ID: 3, Name: "a"}
+	rec := types.NewUniverse().NewRecord("r", false)
+	rec.Record.Fields = []types.Field{{Name: "f", Type: types.PointerTo(nil), BitWidth: -1}}
+	rec.Record.Complete = true
+	oa := &ir.Object{ID: 3, Name: "a", Type: rec}
+	fieldF, ok := core.CellAt(oa, 0, "f", false)
+	if !ok {
+		t.Fatal("CellAt(a.f) failed")
+	}
 	oa2 := &ir.Object{ID: 7, Name: "a"} // same name, later ID
 	ob := &ir.Object{ID: 1, Name: "b"}
 	want := []core.Cell{
 		{Obj: oa},                      // name "a", ID 3, no selector
 		{Obj: oa, Off: 0, ByOff: true}, // offset cell sorts after the bare cell
-		{Obj: oa, Path: "f"},
+		fieldF,
 		{Obj: oa, Off: 4, ByOff: true},
 		{Obj: oa2}, // same name, higher ID
 		{Obj: ob},

@@ -72,7 +72,7 @@ func TestUnitCollapseAlways(t *testing.T) {
 		t.Errorf("normalize = %v", got)
 	}
 	cells := s.Lookup(f.structS, ir.Path{"s3"}, Cell{Obj: f.objT})
-	if len(cells) != 1 || cells[0].Obj != f.objT || cells[0].Path != "" {
+	if len(cells) != 1 || cells[0].Obj != f.objT || cells[0].Node != 0 {
 		t.Errorf("lookup = %v", cellStrings(cells))
 	}
 	dst := f.newObj("d", f.structS)
@@ -107,7 +107,7 @@ func TestUnitCollapseOnCastLookup(t *testing.T) {
 		}
 	}
 	// Mismatch from a mid-struct target: only following fields.
-	mid := Cell{Obj: f.objT, Path: "t2"}
+	mid := s.Normalize(f.objT, ir.Path{"t2"})
 	cells = s.Lookup(f.structS, ir.Path{"s1"}, mid)
 	if len(cells) != 2 {
 		t.Errorf("mid lookup = %v", cellStrings(cells))
@@ -194,7 +194,7 @@ func TestUnitFieldResolveMatchedTypes(t *testing.T) {
 			t.Fatalf("%s: edges = %v", s.Name(), edges)
 		}
 		for _, e := range edges {
-			if e.Dst.Path != e.Src.Path {
+			if e.Dst.Path() != e.Src.Path() {
 				t.Errorf("%s: pair %v copies across fields", s.Name(), e)
 			}
 		}

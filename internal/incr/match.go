@@ -3,6 +3,7 @@ package incr
 import (
 	"fmt"
 
+	"repro/internal/cc/types"
 	"repro/internal/ir"
 )
 
@@ -31,6 +32,8 @@ type match struct {
 	// transplant per-statement artifacts — counter contributions and frozen
 	// copy edges — from the captured solve onto the new IR.
 	stmts map[*ir.Stmt]*ir.Stmt
+	// nodes caches core.NodeMap per (old, new) object type, for mapCell.
+	nodes map[[2]*types.Type][]int32
 }
 
 func newMatch() *match {
@@ -38,6 +41,7 @@ func newMatch() *match {
 		fwd:   make(map[*ir.Object]*ir.Object),
 		rev:   make(map[*ir.Object]*ir.Object),
 		stmts: make(map[*ir.Stmt]*ir.Stmt),
+		nodes: make(map[[2]*types.Type][]int32),
 	}
 }
 

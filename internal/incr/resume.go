@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/cc/types"
 	"repro/internal/core"
 	"repro/internal/frontend"
 	"repro/internal/ir"
@@ -58,13 +59,26 @@ type Stats struct {
 }
 
 // mapCell rebinds an old-program cell onto the new program through the
-// object match, preserving the selector.
+// object match, preserving the selector; a field path the new object's type
+// does not have makes the cell unmappable.
 func mapCell(m *match, c core.Cell) (core.Cell, bool) {
 	nobj, ok := m.fwd[c.Obj]
 	if !ok {
 		return core.Cell{}, false
 	}
-	return core.Cell{Obj: nobj, Off: c.Off, Path: c.Path, ByOff: c.ByOff}, true
+	nc := core.Cell{Obj: nobj, Off: c.Off, ByOff: c.ByOff}
+	if c.Node != 0 {
+		k := [2]*types.Type{c.Obj.Type, nobj.Type}
+		nodes, ok := m.nodes[k]
+		if !ok {
+			nodes = core.NodeMap(k[0], k[1])
+			m.nodes[k] = nodes
+		}
+		if nc.Node = nodes[c.Node]; nc.Node < 0 {
+			return core.Cell{}, false
+		}
+	}
+	return nc, true
 }
 
 // Resume re-analyzes newSources warm: it diffs the new program against the

@@ -99,7 +99,7 @@ func WriteSnapshot(w io.Writer, g *Graph) error {
 		}
 		i := len(p.Cells)
 		cellIdx[c] = i
-		p.Cells = append(p.Cells, snapCell{Obj: oi, Off: c.Off, Path: c.Path, ByOff: c.ByOff})
+		p.Cells = append(p.Cells, snapCell{Obj: oi, Off: c.Off, Path: c.Path(), ByOff: c.ByOff})
 		return i, nil
 	}
 	for _, c := range g.order {
@@ -202,7 +202,11 @@ func rebind(p *snapPayload) (*Graph, error) {
 		if sc.Obj < 0 || sc.Obj >= len(res.IR.Objects) {
 			return nil, corruptf("cell %d references object %d of %d", i, sc.Obj, len(res.IR.Objects))
 		}
-		cells[i] = core.Cell{Obj: res.IR.Objects[sc.Obj], Off: sc.Off, Path: sc.Path, ByOff: sc.ByOff}
+		c, ok := core.CellAt(res.IR.Objects[sc.Obj], sc.Off, sc.Path, sc.ByOff)
+		if !ok {
+			return nil, corruptf("cell %d: object %d has no field path %q", i, sc.Obj, sc.Path)
+		}
+		cells[i] = c
 	}
 	g := &Graph{
 		cfg:     cfg,
