@@ -18,10 +18,12 @@ type Recorder struct {
 	ResolveStructs    int `json:"resolve_structs" unit:"calls" class:"pure" help:"resolve calls that involved structures"`
 	ResolveMismatches int `json:"resolve_mismatches" unit:"calls" class:"pure" help:"struct resolve calls whose types did not match"`
 
-	// Cache counters for the strategy-level memoization. The call counts
-	// above are LOGICAL calls — hits increment them too — so Figure 3's
-	// semantics are unchanged by caching; hits+misses always equals the
-	// corresponding call count.
+	// Cache counters for the strategy-level memoization of the field-based
+	// instances (zero for Collapse Always and Offsets, which keep no memo).
+	// The call counts above are LOGICAL calls — hits increment them too —
+	// so Figure 3's semantics are unchanged by caching; hits+misses equals
+	// the lookup call count (and covers the resolve calls, plus the
+	// uncounted unknown-extent resolves).
 	LookupCacheHits    int `json:"lookup_cache_hits,omitempty" unit:"calls" class:"schedule" help:"lookup calls served from the memo"`
 	LookupCacheMisses  int `json:"lookup_cache_misses,omitempty" unit:"calls" class:"schedule" help:"lookup calls computed and memoized"`
 	ResolveCacheHits   int `json:"resolve_cache_hits,omitempty" unit:"calls" class:"schedule" help:"resolve calls served from the memo"`

@@ -130,6 +130,7 @@ func TestSnapshotAdversarial(t *testing.T) {
 	corruptions["wrong-version"] = reframe(`{"version":99,"config":{"strategy":"","abi":""},"sources":[],"objects":0,"cells":[],"facts":[]}`)
 	corruptions["bad-source"] = reframe(`{"version":1,"config":{"strategy":"","abi":""},"sources":[{"name":"x.c","text":"int x = ;"}],"objects":0,"cells":[],"facts":[]}`)
 	corruptions["bad-obj-index"] = reframe(`{"version":1,"config":{"strategy":"","abi":""},"sources":[{"name":"x.c","text":"int x;"}],"objects":1,"cells":[{"obj":99}],"facts":[]}`)
+	corruptions["bad-field-path"] = reframe(`{"version":1,"config":{"strategy":"","abi":""},"sources":[{"name":"x.c","text":"int x;"}],"objects":1,"cells":[{"obj":0,"path":"nope"}],"facts":[]}`)
 	corruptions["unknown-field"] = reframe(`{"version":1,"bogus":true,"config":{"strategy":"","abi":""},"sources":[],"objects":0,"cells":[],"facts":[]}`)
 
 	for name, data := range corruptions {

@@ -50,11 +50,14 @@ go test -short -count=1 \
 	./internal/core ./internal/corpus
 
 echo "== fuzz smoke (frontend + solver + interner + snapshot decoder must never panic)"
-go test -run='^$' -fuzz=FuzzLoad -fuzztime=10s -fuzzminimizetime=1s ./internal/frontend
-go test -run='^$' -fuzz=FuzzSolve -fuzztime=10s -fuzzminimizetime=1s ./internal/core
-go test -run='^$' -fuzz=FuzzBitsIntern -fuzztime=10s -fuzzminimizetime=1s ./internal/core
-go test -run='^$' -fuzz=FuzzSnapshotDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/export
-go test -run='^$' -fuzz=FuzzGraphSnapshotDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/incr
+# Minimization is bounded by count, not time: with a time bound the
+# front-end targets spend most of their 10 s minimizing new inputs and stop
+# executing after a few seconds.
+go test -run='^$' -fuzz=FuzzLoad -fuzztime=10s -fuzzminimizetime=10x ./internal/frontend
+go test -run='^$' -fuzz=FuzzSolve -fuzztime=10s -fuzzminimizetime=10x ./internal/core
+go test -run='^$' -fuzz=FuzzBitsIntern -fuzztime=10s -fuzzminimizetime=10x ./internal/core
+go test -run='^$' -fuzz=FuzzSnapshotDecode -fuzztime=10s -fuzzminimizetime=10x ./internal/export
+go test -run='^$' -fuzz=FuzzGraphSnapshotDecode -fuzztime=10s -fuzzminimizetime=10x ./internal/incr
 
 if command -v curl >/dev/null 2>&1; then
 	echo "== chaos smoke (overload + fault injection + crash-safe restart)"
