@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/cc/layout"
+	"repro/internal/cc/pp"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/frontend"
@@ -414,6 +415,32 @@ func BenchmarkFrontend(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := frontend.Load(src, frontend.Options{}); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPreprocess times the preprocessor alone, with -benchmem its
+// allocation: on the compiler corpus program, and on a small
+// GenerateLarge program of the large benchmark's shape (24 chains of 250
+// links), where nearly every line is macro-free text.
+func BenchmarkPreprocess(b *testing.B) {
+	compiler, err := corpus.Source("compiler")
+	if err != nil {
+		b.Fatal(err)
+	}
+	large := corpus.GenerateLarge(corpus.LargeParams{NChains: 24, ChainLen: 250, NTargets: 256, NFields: 8, CrossEvery: 16, Seed: 1})
+	for _, c := range []struct {
+		name string
+		src  []frontend.Source
+	}{{"compiler", compiler}, {"large-24x250", large}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, s := range c.src {
+					if _, err := pp.New(pp.Config{}).Process(s.Name, []byte(s.Text)); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

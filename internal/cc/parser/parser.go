@@ -27,7 +27,10 @@ type Config struct {
 	Layout *layout.Engine
 }
 
-// Parse parses one preprocessed token stream into a file AST.
+// Parse parses one preprocessed token stream into a file AST. Parse takes
+// ownership of toks: it rewrites keyword tokens in place, so the caller
+// must not use the slice afterwards (pp.Process returns a fresh one on
+// every call).
 func Parse(name string, toks []token.Token, cfg Config) (*ast.File, error) {
 	p := newParser(name, toks, cfg)
 	file := p.parseFile()
@@ -83,19 +86,16 @@ func newParser(name string, toks []token.Token, cfg Config) *Parser {
 	if lay == nil {
 		lay = layout.New(nil)
 	}
-	// Resolve keywords (the preprocessor leaves them as IDENT).
-	cooked := make([]token.Token, 0, len(toks))
-	for _, t := range toks {
-		if t.Kind == token.IDENT {
-			if k := token.LookupKeyword(t.Text); k != token.IDENT {
-				t.Kind = k
-			}
+	// Resolve keywords (the preprocessor leaves them as IDENT), in place:
+	// the parser owns toks.
+	for i := range toks {
+		if toks[i].Kind == token.IDENT {
+			toks[i].Kind = token.LookupKeyword(toks[i].Text)
 		}
-		cooked = append(cooked, t)
 	}
 	return &Parser{
 		name:   name,
-		toks:   cooked,
+		toks:   toks,
 		u:      u,
 		lay:    lay,
 		scopes: []*scope{newScope()},

@@ -13,7 +13,7 @@ import (
 // integer type (int64 here).
 func (p *Preprocessor) evalCondition(line []token.Token, pos token.Pos) bool {
 	pre := p.resolveDefined(line)
-	expanded := p.expandList(pre, nil)
+	expanded, _ := p.expand(nil, pre, nil, false)
 	ev := &condEval{p: p, toks: expanded, pos: pos}
 	v := ev.ternary()
 	if ev.i < len(ev.toks) && !ev.failed {

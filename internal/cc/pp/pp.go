@@ -95,16 +95,19 @@ func New(cfg Config) *Preprocessor {
 }
 
 func (p *Preprocessor) defineBuiltin(name, val string) {
-	s := scanner.New("<builtin>", []byte(val))
-	var body []token.Token
-	for {
-		t := s.Next()
-		if t.Kind == token.EOF {
-			break
-		}
-		body = append(body, t)
-	}
+	body, _ := scanText("<builtin>", val)
 	p.macros[name] = &Macro{Name: name, Body: body}
+}
+
+// scanText returns the tokens of text, EOF excluded, and whether it scanned
+// without error.
+func scanText(file, text string) ([]token.Token, bool) {
+	s := scanner.New(file, []byte(text))
+	var toks []token.Token
+	for t := s.Next(); t.Kind != token.EOF; t = s.Next() {
+		toks = append(toks, t)
+	}
+	return toks, len(s.Errors) == 0
 }
 
 func (p *Preprocessor) errorf(pos token.Pos, format string, args ...interface{}) {
@@ -112,13 +115,17 @@ func (p *Preprocessor) errorf(pos token.Pos, format string, args ...interface{})
 }
 
 // Process preprocesses one translation unit and returns its token stream,
-// terminated by an EOF token.
+// terminated by an EOF token. The slice is freshly allocated on every call
+// and belongs to the caller, which may hand it to parser.Parse.
 func (p *Preprocessor) Process(file string, src []byte) ([]token.Token, error) {
-	p.out = p.out[:0]
+	// C runs at about one token per four source bytes; the margin covers
+	// a few built-in headers.
+	p.out = make([]token.Token, 0, len(src)/4+512)
 	p.errs = nil
 	p.processFile(file, src)
-	p.out = append(p.out, token.Token{Kind: token.EOF, Pos: token.Pos{File: file}})
-	return p.out, p.errs.Err()
+	out := append(p.out, token.Token{Kind: token.EOF, Pos: token.Pos{File: file}})
+	p.out = nil
+	return out, p.errs.Err()
 }
 
 // Errors returns all accumulated errors.
@@ -132,41 +139,34 @@ func (p *Preprocessor) IsDefined(name string) bool {
 
 // fileState is the per-file processing state.
 type fileState struct {
-	toks []token.Token
-	i    int
+	sc   *scanner.Scanner
+	tok  token.Token
+	line []token.Token
 	path string
 	dir  string
 }
 
-func (f *fileState) peek() token.Token {
-	if f.i < len(f.toks) {
-		return f.toks[f.i]
-	}
-	return token.Token{Kind: token.EOF}
-}
-
 func (f *fileState) next() token.Token {
-	t := f.peek()
-	if f.i < len(f.toks) {
-		f.i++
+	t := f.tok
+	if t.Kind != token.EOF {
+		f.tok = f.sc.Next()
 	}
 	return t
 }
 
 // readLine consumes tokens up to (not including) EOF, stopping after NEWLINE;
-// the NEWLINE itself is consumed but not returned.
+// the NEWLINE itself is consumed but not returned. The returned slice is
+// only valid until the next readLine on f.
 func (f *fileState) readLine() []token.Token {
-	var line []token.Token
-	for {
+	f.line = f.line[:0]
+	for f.tok.Kind != token.EOF {
 		t := f.next()
-		if t.Kind == token.EOF {
-			return line
-		}
 		if t.Kind == token.NEWLINE {
-			return line
+			break
 		}
-		line = append(line, t)
+		f.line = append(f.line, t)
 	}
+	return f.line
 }
 
 // condState tracks one level of conditional nesting.
@@ -177,6 +177,13 @@ type condState struct {
 	sawElse   bool
 }
 
+// processFile preprocesses one file, pulling its tokens from the scanner a
+// line at a time. A text line that names no macro is appended to the
+// output as it stands; other lines collect in pending, which is expanded
+// at each line boundary up to the first function-like invocation that may
+// still continue on the next line, and in full before each directive.
+// Lines that cannot complete that invocation are only appended, so an
+// invocation spanning many lines costs time linear in its length.
 func (p *Preprocessor) processFile(path string, src []byte) {
 	if p.depth >= p.cfg.MaxIncludeDepth {
 		p.errorf(token.Pos{File: path}, "#include nesting too deep")
@@ -184,13 +191,11 @@ func (p *Preprocessor) processFile(path string, src []byte) {
 	}
 	p.depth++
 	defer func() { p.depth-- }()
+	mark := len(p.errs)
 
 	sc := scanner.New(path, src)
 	sc.KeepNewlines = true
-	toks := sc.All()
-	p.errs = append(p.errs, sc.Errors...)
-
-	f := &fileState{toks: toks, path: path, dir: dirOf(path)}
+	f := &fileState{sc: sc, tok: sc.Next(), path: path, dir: dirOf(path)}
 	var conds []condState
 	skipping := func() bool {
 		for _, c := range conds {
@@ -201,16 +206,10 @@ func (p *Preprocessor) processFile(path string, src []byte) {
 		return false
 	}
 
-	var pending []token.Token
-	flush := func() {
-		if len(pending) > 0 {
-			p.out = append(p.out, p.expandList(pending, nil)...)
-			pending = pending[:0]
-		}
-	}
-
+	var pending []token.Token // text held back by a cut-off invocation
+	open := 0                 // its unclosed brackets (0: its name awaits the '(')
 	for {
-		t := f.peek()
+		t := f.tok
 		if t.Kind == token.EOF {
 			break
 		}
@@ -219,35 +218,98 @@ func (p *Preprocessor) processFile(path string, src []byte) {
 			continue
 		}
 		if t.Kind == token.HASH && t.BOL {
-			flush()
+			pending = p.flush(pending, false)
 			f.next() // consume #
 			p.directive(f, &conds, skipping)
 			continue
 		}
 		// Ordinary text line.
 		line := f.readLine()
-		if !skipping() {
-			pending = append(pending, line...)
+		if skipping() {
+			continue
+		}
+		if len(pending) > 0 {
+			var cut bool
+			if open, cut = cutOff(open, line); cut {
+				pending = append(pending, line...)
+				continue
+			}
+		} else if !p.namesMacro(line) {
+			p.out = append(p.out, line...)
+			continue
+		}
+		if pending = p.flush(append(pending, line...), true); len(pending) > 0 {
+			open, _ = cutOff(0, pending[1:])
 		}
 	}
-	flush()
+	p.flush(pending, false)
 	if len(conds) > 0 {
 		p.errorf(token.Pos{File: path}, "unterminated conditional directive")
 	}
+	// The scanner's errors for this file come before those its directives
+	// and expansions raised, as if the file had been scanned up front.
+	p.errs = append(p.errs[:mark], append(sc.Errors, p.errs[mark:]...)...)
+}
+
+// namesMacro reports whether expanding line could change it: whether some
+// identifier in it is a defined macro, __FILE__ or __LINE__.
+func (p *Preprocessor) namesMacro(line []token.Token) bool {
+	for _, t := range line {
+		if t.Kind == token.IDENT {
+			if _, ok := p.macros[t.Text]; ok || t.Text == "__FILE__" || t.Text == "__LINE__" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// cutOff reports whether a function-like invocation cut off by a line end,
+// with open brackets unclosed (0: its name still awaits the '('), is still
+// cut off after line, and how many brackets it then leaves open. It counts
+// brackets as collectArgs does, so a line that cannot complete the
+// invocation is appended without expanding anything.
+func cutOff(open int, line []token.Token) (int, bool) {
+	if open == 0 && len(line) > 0 && line[0].Kind != token.LPAREN {
+		return 0, false
+	}
+	for _, t := range line {
+		switch t.Kind {
+		case token.LPAREN, token.LBRACK:
+			open++
+		case token.RPAREN, token.RBRACK:
+			if open--; open == 0 {
+				return 0, false
+			}
+		}
+	}
+	return open, true
+}
+
+// flush expands pending onto the output. With partial set it stops before
+// a function-like invocation that the next line may still continue (the
+// macro name ends pending, or its argument list is unclosed) and returns
+// that tail, moved to the front of pending; otherwise it expands all of
+// pending and returns it empty.
+func (p *Preprocessor) flush(pending []token.Token, partial bool) []token.Token {
+	if len(pending) == 0 {
+		return pending
+	}
+	var n int
+	p.out, n = p.expand(p.out, pending, nil, partial)
+	return pending[:copy(pending, pending[n:])]
 }
 
 // directive processes one directive; the leading # is already consumed.
 func (p *Preprocessor) directive(f *fileState, conds *[]condState, skipping func() bool) {
-	t := f.peek()
+	t := f.next()
 	if t.Kind == token.NEWLINE || t.Kind == token.EOF {
-		f.next() // null directive
-		return
+		return // null directive
 	}
 	name := t.Text
+	line := f.readLine()
 	switch name {
 	case "if", "ifdef", "ifndef":
-		f.next()
-		line := f.readLine()
 		active := false
 		if !skipping() {
 			switch name {
@@ -265,8 +327,6 @@ func (p *Preprocessor) directive(f *fileState, conds *[]condState, skipping func
 		*conds = append(*conds, condState{active: active, everTaken: active, parentOn: !skipping()})
 
 	case "elif":
-		f.next()
-		line := f.readLine()
 		if len(*conds) == 0 {
 			p.errorf(t.Pos, "#elif without #if")
 			return
@@ -284,8 +344,6 @@ func (p *Preprocessor) directive(f *fileState, conds *[]condState, skipping func
 		}
 
 	case "else":
-		f.next()
-		f.readLine()
 		if len(*conds) == 0 {
 			p.errorf(t.Pos, "#else without #if")
 			return
@@ -302,8 +360,6 @@ func (p *Preprocessor) directive(f *fileState, conds *[]condState, skipping func
 		}
 
 	case "endif":
-		f.next()
-		f.readLine()
 		if len(*conds) == 0 {
 			p.errorf(t.Pos, "#endif without #if")
 			return
@@ -311,15 +367,11 @@ func (p *Preprocessor) directive(f *fileState, conds *[]condState, skipping func
 		*conds = (*conds)[:len(*conds)-1]
 
 	case "define":
-		f.next()
-		line := f.readLine()
 		if !skipping() {
 			p.define(line, t.Pos)
 		}
 
 	case "undef":
-		f.next()
-		line := f.readLine()
 		if !skipping() {
 			if len(line) != 1 || line[0].Kind != token.IDENT {
 				p.errorf(t.Pos, "#undef expects a single identifier")
@@ -329,35 +381,24 @@ func (p *Preprocessor) directive(f *fileState, conds *[]condState, skipping func
 		}
 
 	case "include":
-		// Must set header mode before reading the rest of the line.
 		if !skipping() {
-			p.include(f, t.Pos)
-		} else {
-			f.next()
-			f.readLine()
+			p.include(line, f.dir, t.Pos)
 		}
 
 	case "error":
-		f.next()
-		line := f.readLine()
 		if !skipping() {
 			p.errorf(t.Pos, "#error %s", tokensText(line))
 		}
 
 	case "warning", "ident", "line":
-		f.next()
-		f.readLine() // recognized, ignored
+		// recognized, ignored
 
 	case "pragma":
-		f.next()
-		line := f.readLine()
 		if !skipping() && len(line) == 1 && line[0].Text == "once" {
 			p.onceSeen[f.path] = true
 		}
 
 	default:
-		f.next()
-		f.readLine()
 		if !skipping() {
 			p.errorf(t.Pos, "unknown directive #%s", name)
 		}
@@ -419,18 +460,16 @@ func (p *Preprocessor) define(line []token.Token, pos token.Pos) {
 	p.macros[m.Name] = m
 }
 
-// include handles #include; the directive-name token is still unconsumed so
-// we can flip the scanner-provided header token on the following token list.
-func (p *Preprocessor) include(f *fileState, pos token.Pos) {
-	f.next() // "include"
-	line := f.readLine()
+// include handles an #include line (tokens after the directive name) in a
+// file in directory dir.
+func (p *Preprocessor) include(line []token.Token, dir string, pos token.Pos) {
 	if len(line) == 0 {
 		p.errorf(pos, "#include expects a header name")
 		return
 	}
 	// Re-expand in case the operand is a macro producing a header name.
 	if line[0].Kind == token.IDENT {
-		line = p.expandList(line, nil)
+		line, _ = p.expand(nil, line, nil, false)
 	}
 	var name string
 	var system bool
@@ -438,13 +477,8 @@ func (p *Preprocessor) include(f *fileState, pos token.Pos) {
 	case len(line) >= 1 && line[0].Kind == token.STRING:
 		s := line[0].Text
 		name = s[1 : len(s)-1]
-	case len(line) >= 1 && line[0].Kind == token.HEADER:
-		s := line[0].Text
-		name = s[1 : len(s)-1]
-		system = true
 	case len(line) >= 2 && line[0].Kind == token.LSS:
-		// The scanner only produces HEADER when primed; reconstruct
-		// <name> from < ident . ident ... > token runs.
+		// Reconstruct <name> from < ident . ident ... > token runs.
 		var sb strings.Builder
 		i := 1
 		for i < len(line) && line[i].Kind != token.GTR {
@@ -462,7 +496,7 @@ func (p *Preprocessor) include(f *fileState, pos token.Pos) {
 		return
 	}
 
-	path, content, err := p.resolveInclude(name, system, f.dir)
+	path, content, err := p.resolveInclude(name, system, dir)
 	if err != nil {
 		p.errorf(pos, "#include %q: %v", name, err)
 		return
@@ -506,10 +540,13 @@ func dirOf(path string) string {
 
 // --- Macro expansion ---
 
-// expandList macro-expands toks. active is the set of macro names whose
-// expansion is in progress (blue paint).
-func (p *Preprocessor) expandList(toks []token.Token, active map[string]bool) []token.Token {
-	var out []token.Token
+// expand appends the macro expansion of toks to out and returns it with
+// the number of tokens of toks it consumed. active is the set of macro
+// names whose expansion is in progress (blue paint). All of toks is
+// consumed unless partial is set and the end of toks cuts a function-like
+// invocation short: expansion then stops at the macro name, so the caller
+// can retry once more tokens have arrived.
+func (p *Preprocessor) expand(out, toks []token.Token, active map[string]bool, partial bool) ([]token.Token, int) {
 	for i := 0; i < len(toks); {
 		t := toks[i]
 		if t.Kind != token.IDENT || t.NoExpand {
@@ -543,6 +580,9 @@ func (p *Preprocessor) expandList(toks []token.Token, active map[string]bool) []
 		if m.IsFunc {
 			// Function-like macro: need a following '('.
 			j := i + 1
+			if j >= len(toks) && partial {
+				return out, i
+			}
 			if j >= len(toks) || toks[j].Kind != token.LPAREN {
 				out = append(out, t)
 				i++
@@ -550,6 +590,9 @@ func (p *Preprocessor) expandList(toks []token.Token, active map[string]bool) []
 			}
 			args, rest, err := collectArgs(toks[j:], len(m.Params))
 			if err != nil {
+				if partial {
+					return out, i
+				}
 				p.errorf(t.Pos, "macro %s: %v", m.Name, err)
 				out = append(out, t)
 				i++
@@ -557,17 +600,15 @@ func (p *Preprocessor) expandList(toks []token.Token, active map[string]bool) []
 			}
 			i = j + rest
 			body := p.subst(m, args, active, t.Pos)
-			newActive := withName(active, m.Name)
-			out = append(out, p.expandList(body, newActive)...)
+			out, _ = p.expand(out, body, withName(active, m.Name), false)
 			continue
 		}
 		// Object-like macro.
 		body := p.subst(m, nil, active, t.Pos)
-		newActive := withName(active, m.Name)
-		out = append(out, p.expandList(body, newActive)...)
+		out, _ = p.expand(out, body, withName(active, m.Name), false)
 		i++
 	}
-	return out
+	return out, len(toks)
 }
 
 func withName(active map[string]bool, name string) map[string]bool {
@@ -583,9 +624,6 @@ func withName(active map[string]bool, name string) map[string]bool {
 // It returns the arguments, the number of tokens consumed (including both
 // parens), and an error. nparams disambiguates zero-argument invocations.
 func collectArgs(toks []token.Token, nparams int) ([][]token.Token, int, error) {
-	if len(toks) == 0 || toks[0].Kind != token.LPAREN {
-		return nil, 0, fmt.Errorf("expected '('")
-	}
 	var args [][]token.Token
 	var cur []token.Token
 	depth := 1
@@ -677,12 +715,10 @@ func (p *Preprocessor) subst(m *Macro, args [][]token.Token, active map[string]b
 		// Ordinary parameter: substitute fully expanded argument.
 		if t.Kind == token.IDENT && m.IsFunc {
 			if k := paramIndex(t.Text); k >= 0 {
-				exp := p.expandList(argFor(k), active)
-				if len(exp) > 0 {
-					exp2 := make([]token.Token, len(exp))
-					copy(exp2, exp)
-					exp2[0].WS = t.WS
-					out = append(out, exp2...)
+				n := len(out)
+				out, _ = p.expand(out, argFor(k), active, false)
+				if len(out) > n {
+					out[n].WS = t.WS
 				}
 				continue
 			}
@@ -723,19 +759,12 @@ func (p *Preprocessor) paste(left, right []token.Token, pos token.Pos) []token.T
 	l := left[len(left)-1]
 	r := right[0]
 	text := l.String() + r.String()
-	sc := scanner.New(pos.File, []byte(text))
-	var pasted []token.Token
-	for {
-		t := sc.Next()
-		if t.Kind == token.EOF {
-			break
-		}
-		t.Pos = pos
-		pasted = append(pasted, t)
-	}
-	if len(sc.Errors) > 0 || len(pasted) != 1 {
+	pasted, ok := scanText(pos.File, text)
+	if !ok || len(pasted) != 1 {
 		p.errorf(pos, "pasting %q and %q does not form a valid token", l.String(), r.String())
 		pasted = []token.Token{l, r}
+	} else {
+		pasted[0].Pos = pos
 	}
 	out := append([]token.Token{}, left[:len(left)-1]...)
 	out = append(out, pasted...)

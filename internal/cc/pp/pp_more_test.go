@@ -203,3 +203,18 @@ func TestObjectMacroWithParensInBody(t *testing.T) {
 		t.Errorf("got %q", got)
 	}
 }
+
+// An invocation whose arguments span many lines expands as if written on
+// one line, with every line held back until the closing parenthesis.
+func TestInvocationSpanningManyLines(t *testing.T) {
+	const n = 20000
+	args := strings.Repeat("(a + [b]),\n", n)
+	got := render(t, "#define G(x, y) [x | y]\nint v = G(\n"+args+"c) + G(1,\n2\n);")
+	want := render(t, "#define G(x, y) [x | y]\nint v = G("+strings.ReplaceAll(args, "\n", " ")+"c) + G(1, 2);")
+	if got != want {
+		t.Errorf("multi-line invocation differs from its one-line form")
+	}
+	if !strings.HasSuffix(got, "[ 1 | 2 ] ;") {
+		t.Errorf("got suffix %q", got[max(0, len(got)-40):])
+	}
+}

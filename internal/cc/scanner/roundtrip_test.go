@@ -27,8 +27,14 @@ func renderTokens(toks []token.Token) string {
 
 func scanAll(src string) ([]token.Token, error) {
 	s := New("rt.c", []byte(src))
-	toks := s.All()
-	return toks, s.Errors.Err()
+	var toks []token.Token
+	for {
+		t := s.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks, s.Errors.Err()
+		}
+	}
 }
 
 func sameStream(a, b []token.Token) bool {

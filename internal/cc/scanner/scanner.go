@@ -5,6 +5,7 @@
 package scanner
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -45,9 +46,6 @@ type Scanner struct {
 	inDirective bool // inside a # directive line (affects <header> scanning)
 	wantHeader  bool // after #include, scan <...> as HEADER
 
-	// KeepComments controls whether COMMENT tokens are emitted; the
-	// preprocessor discards them, tests may keep them.
-	KeepComments bool
 	// KeepNewlines controls whether NEWLINE tokens are emitted. The
 	// preprocessor needs them; direct-to-parser use does not.
 	KeepNewlines bool
@@ -136,18 +134,6 @@ func (s *Scanner) Next() token.Token {
 	}
 }
 
-// All scans the remaining input and returns all tokens up to and including EOF.
-func (s *Scanner) All() []token.Token {
-	var toks []token.Token
-	for {
-		t := s.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
-	}
-}
-
 // SetWantHeader tells the scanner that the next token may be a <header>
 // (called by the preprocessor after seeing #include).
 func (s *Scanner) SetWantHeader(v bool) { s.wantHeader = v }
@@ -160,7 +146,7 @@ func (s *Scanner) make(kind token.Kind, text string, pos token.Pos) token.Token 
 }
 
 // scan returns the next token and true, or false if it consumed a
-// non-token (comment/newline suppressed by configuration).
+// non-token (a comment, or a newline without KeepNewlines).
 func (s *Scanner) scan() (token.Token, bool) {
 	s.spliceAhead()
 	// Skip horizontal whitespace.
@@ -214,9 +200,6 @@ func (s *Scanner) scan() (token.Token, bool) {
 		if s.peek(1) == '*' {
 			s.scanBlockComment(pos)
 			s.sawWS = true
-			if s.KeepComments {
-				return s.make(token.COMMENT, "/*...*/", pos), true
-			}
 			return token.Token{}, false
 		}
 		if s.peek(1) == '/' {
@@ -225,9 +208,6 @@ func (s *Scanner) scan() (token.Token, bool) {
 				s.spliceAhead()
 			}
 			s.sawWS = true
-			if s.KeepComments {
-				return s.make(token.COMMENT, "//...", pos), true
-			}
 			return token.Token{}, false
 		}
 		return s.scanOperator(pos), true
@@ -238,40 +218,52 @@ func (s *Scanner) scan() (token.Token, bool) {
 }
 
 func (s *Scanner) scanIdent(pos token.Pos) token.Token {
-	var sb strings.Builder
-	for {
-		c := s.peek(0)
-		if !isLetter(c) && !isDigit(c) {
-			break
-		}
-		sb.WriteByte(s.next())
+	start := s.offset
+	for isLetter(s.peek(0)) || isDigit(s.peek(0)) {
+		s.next()
 		s.spliceAhead()
 	}
-	text := sb.String()
-	return s.make(token.IDENT, text, pos)
+	return s.make(token.IDENT, s.text(start), pos)
+}
+
+// text returns the token read since offset start: its source bytes less
+// the line splices (backslash-newline) inside or right after it, the only
+// '\\', '\r' and '\n' bytes an identifier or number spans.
+func (s *Scanner) text(start int) string {
+	src := s.src[start:s.offset]
+	if bytes.IndexByte(src, '\\') < 0 {
+		return string(src)
+	}
+	b := make([]byte, 0, len(src))
+	for _, c := range src {
+		if c != '\\' && c != '\r' && c != '\n' {
+			b = append(b, c)
+		}
+	}
+	return string(b)
 }
 
 func (s *Scanner) scanNumber(pos token.Pos) token.Token {
-	var sb strings.Builder
+	start := s.offset
 	kind := token.INT
 	c := s.peek(0)
 	if c == '0' && (s.peek(1) == 'x' || s.peek(1) == 'X') {
-		sb.WriteByte(s.next())
-		sb.WriteByte(s.next())
+		s.next()
+		s.next()
 		for isHexDigit(s.peek(0)) {
-			sb.WriteByte(s.next())
+			s.next()
 			s.spliceAhead()
 		}
 	} else {
 		for isDigit(s.peek(0)) {
-			sb.WriteByte(s.next())
+			s.next()
 			s.spliceAhead()
 		}
 		if s.peek(0) == '.' {
 			kind = token.FLOAT
-			sb.WriteByte(s.next())
+			s.next()
 			for isDigit(s.peek(0)) {
-				sb.WriteByte(s.next())
+				s.next()
 				s.spliceAhead()
 			}
 		}
@@ -284,10 +276,10 @@ func (s *Scanner) scanNumber(pos token.Pos) token.Token {
 			if isDigit(s.peek(j)) {
 				kind = token.FLOAT
 				for i := 0; i < j; i++ {
-					sb.WriteByte(s.next())
+					s.next()
 				}
 				for isDigit(s.peek(0)) {
-					sb.WriteByte(s.next())
+					s.next()
 					s.spliceAhead()
 				}
 			}
@@ -297,16 +289,16 @@ func (s *Scanner) scanNumber(pos token.Pos) token.Token {
 	for {
 		c := s.peek(0)
 		if c == 'u' || c == 'U' || c == 'l' || c == 'L' {
-			sb.WriteByte(s.next())
+			s.next()
 			continue
 		}
 		if (c == 'f' || c == 'F') && kind == token.FLOAT {
-			sb.WriteByte(s.next())
+			s.next()
 			continue
 		}
 		break
 	}
-	return s.make(kind, sb.String(), pos)
+	return s.make(kind, s.text(start), pos)
 }
 
 func (s *Scanner) scanEscape(sb *strings.Builder) {

@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cc/token"
@@ -140,6 +141,11 @@ func TestLineSplice(t *testing.T) {
 	got := texts(t, "ab\\\ncd")
 	if len(got) != 1 || got[0] != "abcd" {
 		t.Errorf("splice: got %v, want [abcd]", got)
+	}
+	// Splices inside and right after identifiers and numbers, CRLF too.
+	got = texts(t, "ab\\\ncd\\\n+ 12\\\r\n34u\\\n 1.5\\\ne3")
+	if strings.Join(got, " ") != "abcd + 1234u 1.5e3" {
+		t.Errorf("splice: got %q", got)
 	}
 	// Splice inside an operator.
 	ks := kinds(t, "a <\\\n< b")

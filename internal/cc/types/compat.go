@@ -17,7 +17,8 @@ package types
 // mismatch (a `const char *` parameter receiving a `char *` argument is not
 // "casting").
 func CompatibleLax(a, b *Type) bool {
-	return compatible(stripQuals(a, 0), stripQuals(b, 0), make(map[[2]int]bool))
+	var inProgress map[[2]int]bool
+	return compatible(stripQuals(a, 0), stripQuals(b, 0), &inProgress)
 }
 
 func stripQuals(t *Type, depth int) *Type {
@@ -49,12 +50,14 @@ func stripQuals(t *Type, depth int) *Type {
 // compatible when both are complete, have the same tag, the same number of
 // members with the same names in the same order, pairwise-compatible member
 // types, and equal bit-field widths. Recursive types are handled with an
-// in-progress set (coinductive reading of the standard's rule).
+// in-progress set of record-ID pairs (coinductive reading of the standard's
+// rule), made when the first pair of distinct complete records is reached.
 func Compatible(a, b *Type) bool {
-	return compatible(a, b, make(map[[2]int]bool))
+	var inProgress map[[2]int]bool
+	return compatible(a, b, &inProgress)
 }
 
-func compatible(a, b *Type, inProgress map[[2]int]bool) bool {
+func compatible(a, b *Type, inProgress *map[[2]int]bool) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
@@ -97,7 +100,7 @@ func compatible(a, b *Type, inProgress map[[2]int]bool) bool {
 	}
 }
 
-func recordsCompatible(a, b *Record, inProgress map[[2]int]bool) bool {
+func recordsCompatible(a, b *Record, inProgress *map[[2]int]bool) bool {
 	if a == b {
 		return true
 	}
@@ -116,11 +119,14 @@ func recordsCompatible(a, b *Record, inProgress map[[2]int]bool) bool {
 	if a.ID > b.ID {
 		key = [2]int{b.ID, a.ID}
 	}
-	if inProgress[key] {
+	if (*inProgress)[key] {
 		return true // coinductive: assume compatible while checking
 	}
-	inProgress[key] = true
-	defer delete(inProgress, key)
+	if *inProgress == nil {
+		*inProgress = make(map[[2]int]bool)
+	}
+	(*inProgress)[key] = true
+	defer delete(*inProgress, key)
 
 	if len(a.Fields) != len(b.Fields) {
 		return false
@@ -140,7 +146,7 @@ func recordsCompatible(a, b *Record, inProgress map[[2]int]bool) bool {
 	return true
 }
 
-func signaturesCompatible(a, b *Signature, inProgress map[[2]int]bool) bool {
+func signaturesCompatible(a, b *Signature, inProgress *map[[2]int]bool) bool {
 	if !compatible(a.Result, b.Result, inProgress) {
 		return false
 	}

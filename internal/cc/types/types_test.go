@@ -179,6 +179,32 @@ func TestRecursiveStructCompatibility(t *testing.T) {
 	}
 }
 
+// Comparisons that reach no pair of distinct complete records allocate
+// nothing: the recursion guard's map is made on first use.
+func TestCompatibleAllocatesOnlyForRecords(t *testing.T) {
+	u := NewUniverse()
+	intT, charT := u.Basic(Int), u.Basic(Char)
+	pi, pc := PointerTo(intT), PointerTo(charT)
+	f := FuncType(intT, []Param{{Type: pc}}, false, false)
+	s1 := mkStruct(u, "S", Field{Name: "a", Type: intT, BitWidth: -1})
+	for _, c := range []struct {
+		a, b *Type
+		want bool
+	}{{intT, intT, true}, {intT, charT, false}, {pi, pi, true}, {pi, pc, false}, {f, f, true}, {s1, s1, true}} {
+		if n := testing.AllocsPerRun(10, func() {
+			if Compatible(c.a, c.b) != c.want || CompatibleLax(c.a, c.b) != c.want {
+				t.Fatalf("Compatible(%v, %v) != %v", c.a, c.b, c.want)
+			}
+		}); n != 0 {
+			t.Errorf("Compatible(%v, %v): %v allocations, want 0", c.a, c.b, n)
+		}
+	}
+	s2 := mkStruct(u, "S", Field{Name: "a", Type: intT, BitWidth: -1})
+	if !Compatible(s1, s2) || !CompatibleLax(PointerTo(s1), PointerTo(s2)) {
+		t.Error("same-shape records should be compatible")
+	}
+}
+
 func TestFuncCompatibility(t *testing.T) {
 	u := NewUniverse()
 	intT := u.Basic(Int)

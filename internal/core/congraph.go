@@ -451,15 +451,16 @@ func (s *solver) mergeCells(members []CellID) {
 	// Snapshot per-member obligations before mutating any structure. The
 	// facts a member's consumers have seen are exactly its set minus its
 	// pending delta, so the outstanding facts are (U \ pts) ∪ delta.
-	pendings := make([]mergePending, 0, len(members))
+	// The snapshots reuse the solver's merge buffers: merges never nest.
+	pendings, need := s.mergeBuf[:0], s.mergeNeed[:0]
 	for _, m := range members {
-		p := mergePending{member: m, watchers: s.watchers[m], edges: s.exactOut[m]}
+		start := len(need)
 		for _, id := range uids {
 			if !s.pts[m].Has(id) || s.delta[m].Has(id) {
-				p.need = append(p.need, id)
+				need = append(need, id)
 			}
 		}
-		pendings = append(pendings, p)
+		pendings = append(pendings, mergePending{member: m, need: need[start:len(need):len(need)], watchers: s.watchers[m], edges: s.exactOut[m]})
 	}
 
 	// Structural merge: union-find pointers first, so every addFact and
@@ -522,4 +523,6 @@ func (s *solver) mergeCells(members []CellID) {
 	}
 	s.recycleBits(needBits)
 	s.putScratch(uids)
+	clear(pendings)
+	s.mergeBuf, s.mergeNeed = pendings[:0], need[:0]
 }

@@ -16,8 +16,11 @@ type CellTable struct {
 }
 
 // NewCellTable returns an empty table.
-func NewCellTable() *CellTable {
-	return &CellTable{ids: make(map[Cell]CellID)}
+func NewCellTable() *CellTable { return newCellTable(0) }
+
+// newCellTable returns an empty table with room for n cells.
+func newCellTable(n int) *CellTable {
+	return &CellTable{ids: make(map[Cell]CellID, n), cells: make([]Cell, 0, n)}
 }
 
 // ID interns c, assigning the next dense id on first sight.

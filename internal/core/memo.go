@@ -195,9 +195,12 @@ func (f *fieldOps) resolveInterned(dst, src Cell, τ *types.Type, table *CellTab
 }
 
 // reserve implements internResolver.
-func (f *fieldOps) reserve(n int) {
+func (f *fieldOps) reserve(objects, copies int) {
+	if len(f.objs) == 0 {
+		f.objs = make(map[*ir.Object]objEntry, objects)
+	}
 	if !f.memo.off && f.memo.resolves == nil {
-		f.memo.resolves = make(map[resolveKey]resolveVal, n)
+		f.memo.resolves = make(map[resolveKey]resolveVal, copies)
 	}
 }
 

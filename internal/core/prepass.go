@@ -322,6 +322,8 @@ func (s *solver) runPrepass() {
 	// Merge every multi-member class through the shared protocol. The
 	// union-find forest is grown here exactly as detectCycles grows it, so
 	// a later online pass sees a consistent parent/rank table.
+	s.parent = slices.Grow(s.parent, n-len(s.parent))
+	s.rank = slices.Grow(s.rank, n-len(s.rank))
 	for i := len(s.parent); i < n; i++ {
 		s.parent = append(s.parent, CellID(i))
 		s.rank = append(s.rank, -1)
