@@ -396,17 +396,32 @@ func (r *Report) DerefSetSize() float64 { return r.result.AvgDerefSetSize() }
 
 // index builds the name → objects map once (safe under concurrent queries).
 func (r *Report) index() map[string][]*ir.Object {
-	r.nameOnce.Do(func() {
-		r.byName = make(map[string][]*ir.Object)
-		for _, o := range r.res.IR.Objects {
-			if o.Sym != nil && o.Sym.Name != "" {
-				r.byName[o.Sym.Name] = append(r.byName[o.Sym.Name], o)
-			} else if o.Name != "" {
-				r.byName[o.Name] = append(r.byName[o.Name], o)
-			}
-		}
-	})
+	r.nameOnce.Do(func() { r.byName = nameIndex(r.res.IR.Objects) })
 	return r.byName
+}
+
+// nameIndex maps each source-level name (a symbol's, else the object's own)
+// to its objects in program order. The map is sized for one object per
+// name, and a name's first object is a one-element window onto objs, so the
+// common single-object name allocates nothing; a later object of the same
+// name appends into a fresh array and leaves objs untouched.
+func nameIndex(objs []*ir.Object) map[string][]*ir.Object {
+	byName := make(map[string][]*ir.Object, len(objs))
+	for i, o := range objs {
+		name := o.Name
+		if o.Sym != nil && o.Sym.Name != "" {
+			name = o.Sym.Name
+		}
+		if name == "" {
+			continue
+		}
+		if prev, ok := byName[name]; ok {
+			byName[name] = append(prev, o)
+		} else {
+			byName[name] = objs[i : i+1 : i+1]
+		}
+	}
+	return byName
 }
 
 // objects resolves a source-level variable or function name to its abstract

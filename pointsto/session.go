@@ -78,14 +78,7 @@ func newSessionState(cfg Config, sources []Source, res *frontend.Result) *Sessio
 		cfg:     cfg,
 		sources: append([]Source(nil), sources...),
 		res:     res,
-		byName:  make(map[string][]*ir.Object),
-	}
-	for _, o := range res.IR.Objects {
-		if o.Sym != nil && o.Sym.Name != "" {
-			s.byName[o.Sym.Name] = append(s.byName[o.Sym.Name], o)
-		} else if o.Name != "" {
-			s.byName[o.Name] = append(s.byName[o.Name], o)
-		}
+		byName:  nameIndex(res.IR.Objects),
 	}
 	return s
 }
