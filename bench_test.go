@@ -321,17 +321,30 @@ func BenchmarkSweepProgramSize(b *testing.B) {
 	}
 }
 
+// castsParams are the generator parameters of the perfbench casts workload.
+var castsParams = corpus.GenParams{NStructs: 24, NFields: 8, NObjects: 12, NDerefs: 600, CastDensity: 25, Seed: 1}
+
 // BenchmarkSolverRepresentation compares the dense CellID/Bits solver
 // (core.Analyze) against the retained map-based implementation
 // (core.AnalyzeReference) on identical inputs: same programs, same
 // strategies, byte-identical results (enforced by the differential test in
 // internal/core). The strategy is constructed once and warmed before timing,
-// so its memoized lookup/resolve tables are hot and the measured allocs/op
-// isolate the solver fixpoint itself — the dense/reference ratio is the cost
-// of the map representation. Run with -benchmem.
+// so its per-type leaf tables are built and the measured allocs/op isolate
+// the solver fixpoint itself — the dense/reference ratio is the cost of the
+// map representation. "casts" is the cast-heavy generated program of the
+// perfbench casts workload. Run with -benchmem.
 func BenchmarkSolverRepresentation(b *testing.B) {
-	for _, name := range []string{"anagram", "bc", "less", "simulator"} {
-		res := loadProgram(b, name)
+	for _, name := range []string{"anagram", "bc", "less", "simulator", "casts"} {
+		var res *frontend.Result
+		if name == "casts" {
+			var err error
+			res, err = frontend.Load(corpus.Generate(castsParams), frontend.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+		} else {
+			res = loadProgram(b, name)
+		}
 		for _, s := range []string{"offsets", "common-initial-seq", "collapse-always"} {
 			b.Run(name+"/"+s+"/dense", func(b *testing.B) {
 				strat := metrics.NewStrategy(s, res.Layout)

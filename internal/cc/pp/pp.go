@@ -302,7 +302,11 @@ func (p *Preprocessor) flush(pending []token.Token, partial bool) []token.Token 
 
 // directive processes one directive; the leading # is already consumed.
 func (p *Preprocessor) directive(f *fileState, conds *[]condState, skipping func() bool) {
+	// The operand of an active #include is scanned as one header-name
+	// token, so a <...> name keeps its text byte for byte.
+	f.sc.SetWantHeader(f.tok.Kind == token.IDENT && f.tok.Text == "include" && !skipping())
 	t := f.next()
+	f.sc.SetWantHeader(false)
 	if t.Kind == token.NEWLINE || t.Kind == token.EOF {
 		return // null directive
 	}
@@ -477,8 +481,11 @@ func (p *Preprocessor) include(line []token.Token, dir string, pos token.Pos) {
 	case len(line) >= 1 && line[0].Kind == token.STRING:
 		s := line[0].Text
 		name = s[1 : len(s)-1]
+	case len(line) >= 1 && line[0].Kind == token.HEADER && strings.HasSuffix(line[0].Text, ">"):
+		s := line[0].Text
+		name, system = s[1:len(s)-1], true
 	case len(line) >= 2 && line[0].Kind == token.LSS:
-		// Reconstruct <name> from < ident . ident ... > token runs.
+		// A macro-expanded <name>: rebuild it from the < ... > token run.
 		var sb strings.Builder
 		i := 1
 		for i < len(line) && line[i].Kind != token.GTR {

@@ -2,6 +2,7 @@ package pp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,6 +215,27 @@ func TestIncludeBuiltinHeader(t *testing.T) {
 	}
 	if !strings.HasSuffix(got, "size_t n ;") {
 		t.Errorf("trailing decl missing: %q", got)
+	}
+}
+
+// TestIncludeHeaderNameKeepsSpaces: a <...> name is the text between the
+// delimiters byte for byte, so <std def.h> names no header and must not
+// resolve to stddef.h.
+func TestIncludeHeaderNameKeepsSpaces(t *testing.T) {
+	var names []string
+	p := New(Config{Include: func(name string, system bool, from string) (string, []byte, error) {
+		names = append(names, name)
+		return "", nil, fmt.Errorf("not found")
+	}})
+	_, err := p.Process("t.c", []byte("#include <std def.h>\n#include <a  b.h>\nsize_t n;"))
+	if err == nil || !strings.Contains(err.Error(), `#include "std def.h"`) {
+		t.Fatalf("err = %v, want a not-found error for \"std def.h\"", err)
+	}
+	if len(p.Errors()) != 2 {
+		t.Errorf("errors = %v, want one per include", p.Errors())
+	}
+	if want := []string{"std def.h", "a  b.h"}; !slices.Equal(names, want) {
+		t.Errorf("resolver saw %q, want %q", names, want)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // BatchJob is one analysis to run as part of AnalyzeBatch. Programs may be
 // shared between jobs (the solver only reads them), but every job MUST carry
 // its own Strategy instance: strategies hold per-run state (the Recorder and
-// the lookup/resolve memo tables) and are not safe for concurrent use.
+// per-object caches) and are not safe for concurrent use.
 type BatchJob struct {
 	Prog  *ir.Program
 	Strat Strategy

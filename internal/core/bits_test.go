@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cc/types"
 	"repro/internal/ir"
 )
 
@@ -285,4 +286,85 @@ func TestCellTable(t *testing.T) {
 	if tab.Len() != len(cells) {
 		t.Fatalf("Len = %d, want %d", tab.Len(), len(cells))
 	}
+}
+
+// TestCellTableSlots covers the slot table's edge cases: interior-node
+// cells, cells that must go to the overflow map, and a foreign object whose
+// ID collides with one of the program's.
+func TestCellTableSlots(t *testing.T) {
+	u := types.NewUniverse()
+	p := types.PointerTo(u.Basic(types.Int))
+	rec := func(fields ...types.Field) *types.Type {
+		r := u.NewRecord("", false)
+		r.Record.Fields = fields
+		r.Record.Complete = true
+		return r
+	}
+	inner := rec(types.Field{Name: "x", Type: p, BitWidth: -1}, types.Field{Name: "y", Type: p, BitWidth: -1})
+	outer := rec(types.Field{Name: "in", Type: inner, BitWidth: -1}, types.Field{Name: "z", Type: p, BitWidth: -1})
+	s := &ir.Object{ID: 1, Name: "s", Type: outer}
+	v := &ir.Object{ID: 2, Name: "v", Type: p}
+	tab := newCellTable(&ir.Program{Objects: []*ir.Object{s, v}}, NewCIS().nodeCount, 0)
+	// outer's leaf table: the root, in, in.x, in.y and z; v is a scalar.
+	if len(tab.slot) != 6 {
+		t.Fatalf("%d slots, want 6", len(tab.slot))
+	}
+	at := func(obj *ir.Object, path string) Cell {
+		c, ok := CellAt(obj, 0, path, false)
+		if !ok {
+			t.Fatalf("no path %q", path)
+		}
+		return c
+	}
+	check := func(c Cell, want CellID) {
+		t.Helper()
+		if id := tab.ID(c); id != want {
+			t.Fatalf("ID(%v) = %d, want %d", c, id, want)
+		}
+		if id, ok := tab.Find(c); !ok || id != want {
+			t.Fatalf("Find(%v) = %d, %v, want %d", c, id, ok, want)
+		}
+		if tab.Cell(want) != c {
+			t.Fatalf("Cell(%d) = %v, want %v", want, tab.Cell(want), c)
+		}
+	}
+
+	// Interior and leaf nodes each get their own slot.
+	for i, c := range []Cell{at(s, "in"), at(s, "in.x"), {Obj: s}, {Obj: v}} {
+		if tab.slotOf(c) < 0 {
+			t.Fatalf("%v has no slot", c)
+		}
+		check(c, CellID(i))
+	}
+	if len(tab.over) != 0 {
+		t.Fatalf("overflow map holds %d cells, want 0", len(tab.over))
+	}
+
+	// A foreign object with a colliding ID is never found as s, and
+	// interning it does not disturb s.
+	foreign := &ir.Object{ID: 1, Name: "f", Type: outer}
+	if _, ok := tab.Find(Cell{Obj: foreign}); ok {
+		t.Fatal("Find found a foreign object's never-interned cell")
+	}
+	check(Cell{Obj: foreign}, 4)
+	check(Cell{Obj: s}, 2)
+
+	// The unknown object, byte cells and a cell whose slot is taken (v's
+	// offset-0 byte cell shares the whole-object cell's slot) round-trip
+	// through the overflow map.
+	unknown := &ir.Object{ID: -1, Name: "<unknown>"}
+	for i, c := range []Cell{{Obj: unknown}, {Obj: v, Off: 8, ByOff: true}, {Obj: v, ByOff: true}} {
+		check(c, CellID(5+i))
+	}
+	if len(tab.over) != 4 {
+		t.Fatalf("overflow map holds %d cells, want 4", len(tab.over))
+	}
+	check(at(s, "in"), 0)
+	check(Cell{Obj: v}, 3)
+
+	// A foreign object interned first takes the slot; the program's own
+	// cell then overflows and both stay distinct.
+	tab = newCellTable(&ir.Program{Objects: []*ir.Object{s, v}}, NewCIS().nodeCount, 0)
+	check(Cell{Obj: foreign}, 0)
+	check(Cell{Obj: s}, 1)
 }

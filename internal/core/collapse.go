@@ -35,8 +35,7 @@ func (s *CollapseAlways) Normalize(obj *ir.Object, _ ir.Path) Cell {
 // exactEdges implements exactEdger: edges carry exactly their source cell.
 func (s *CollapseAlways) exactEdges() bool { return true }
 
-// Lookup implements Strategy. Unlike the field-based instances it is not
-// memoized: building its one-cell answer is cheaper than hashing a memo key.
+// Lookup implements Strategy.
 func (s *CollapseAlways) Lookup(τ *types.Type, _ ir.Path, target Cell) []Cell {
 	// The instance performs no type test (Figure 3's mismatch columns do
 	// not apply); struct involvement is still recorded.
@@ -44,7 +43,7 @@ func (s *CollapseAlways) Lookup(τ *types.Type, _ ir.Path, target Cell) []Cell {
 	return []Cell{{Obj: target.Obj}}
 }
 
-// Resolve implements Strategy (not memoized, like Lookup).
+// Resolve implements Strategy.
 func (s *CollapseAlways) Resolve(dst, src Cell, τ *types.Type) []Edge {
 	s.rec.recordResolve(isRecordType(τ) || objIsRecord(dst.Obj) || objIsRecord(src.Obj), false)
 	return []Edge{{Dst: Cell{Obj: dst.Obj}, Src: Cell{Obj: src.Obj}}}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/cc/types"
@@ -15,9 +14,8 @@ import (
 // runs on the per-type leaf tables of flatten.go: cells carry node indexes,
 // and no path string is built, split or hashed inside a solve.
 type fieldOps struct {
-	rec  Recorder
-	memo memoTable
-	lk   lookupFn // the instance's uncounted lookup
+	rec Recorder
+	lk  lookupFn // the instance's uncounted lookup
 
 	// noFirstField disables the innermost-first-field normalization
 	// (ablation only: without it, a pointer to a structure and a pointer
@@ -33,7 +31,7 @@ type fieldOps struct {
 
 	// The caches below are only touched by lookup, resolve and smearing,
 	// which run inside the (single-threaded) rule firing of one solve.
-	objs    map[*ir.Object]objEntry
+	objs    objMap[objEntry]
 	compat  map[[2]*types.Type]bool // types.CompatibleLax, per (τ, candidate type)
 	scratch []Edge                  // resolveVia's working buffer
 	cellBuf []Cell                  // oneCell's unused chunk
@@ -60,7 +58,6 @@ func aggregate(t *types.Type) bool {
 // init readies f for an instance whose uncounted lookup is lk.
 func (f *fieldOps) init(lk lookupFn) {
 	f.lk = lk
-	f.objs = make(map[*ir.Object]objEntry)
 	f.compat = make(map[[2]*types.Type]bool)
 }
 
@@ -71,9 +68,6 @@ func (f *fieldOps) Recorder() *Recorder { return &f.rec }
 func (f *fieldOps) PropagateEdge(e Edge, src Cell) (Cell, bool) {
 	return exactEdgePropagate(e, src)
 }
-
-// SetMemoization implements Memoizer for the field-based strategies.
-func (f *fieldOps) SetMemoization(on bool) { f.memo.SetMemoization(on) }
 
 // exactEdges implements exactEdger: both field strategies propagate through
 // exactEdgePropagate, so their Size==0 edges are indexable by source cell.
@@ -117,7 +111,7 @@ func (f *fieldOps) extend(tb *leafTable, n int32, path ir.Path) int32 {
 
 // obj returns obj's entry, building it on first use.
 func (f *fieldOps) obj(obj *ir.Object) objEntry {
-	if e, ok := f.objs[obj]; ok {
+	if e, ok := f.objs.get(obj); ok {
 		return e
 	}
 	var e objEntry
@@ -131,7 +125,7 @@ func (f *fieldOps) obj(obj *ir.Object) objEntry {
 			e.cells[i] = Cell{Obj: obj, Node: n}
 		}
 	}
-	f.objs[obj] = e
+	*f.objs.at(obj) = e
 	return e
 }
 
@@ -211,9 +205,36 @@ func (f *fieldOps) compatible(τ, t *types.Type) bool {
 	return ok
 }
 
+// nodeCount is the number of cells obj's leaf table numbers, interior
+// nodes included: its run of CellTable slots.
+func (f *fieldOps) nodeCount(obj *ir.Object) int32 {
+	if !aggregate(obj.Type) {
+		return 1
+	}
+	return int32(len(f.table(obj.Type).nodes))
+}
+
 // lookupFn is the uncounted core of a strategy's lookup; mismatch reports
 // whether the fallback smearing was used.
 type lookupFn func(τ *types.Type, path ir.Path, target Cell) (cells []Cell, mismatch bool)
+
+// Lookup implements Strategy: the instance's lookup, counted.
+func (f *fieldOps) Lookup(τ *types.Type, path ir.Path, target Cell) []Cell {
+	cells, mismatch := f.lk(τ, path, target)
+	f.rec.recordLookup(structsInvolved(τ, target), mismatch)
+	return cells
+}
+
+// Resolve implements Strategy. Unknown-extent copies (τ == nil) are not
+// counted as resolve calls. The result is the instance's working buffer:
+// the next Resolve call overwrites it.
+func (f *fieldOps) Resolve(dst, src Cell, τ *types.Type) []Edge {
+	edges, mismatch := f.resolveVia(dst, src, τ)
+	if τ != nil {
+		f.rec.recordResolve(structsInvolved(τ, dst, src), mismatch)
+	}
+	return edges
+}
 
 // resolveVia implements resolve in terms of a lookup function, as both
 // portable instances define it (§4.3.2):
@@ -227,29 +248,31 @@ type lookupFn func(τ *types.Type, path ir.Path, target Cell) (cells []Cell, mis
 // after each endpoint.
 func (f *fieldOps) resolveVia(dst, src Cell, τ *types.Type) ([]Edge, bool) {
 	if τ == nil {
-		return pairs(nil, f.smear(dst), f.smear(src)), true
+		f.scratch = pairs(f.scratch[:0], f.smear(dst), f.smear(src))
+		return f.scratch, true
 	}
 	edges := f.scratch[:0]
 	mismatch := false
-	one := [1]ir.Path{} // a scalar τ has one leaf, the empty path
-	δs := one[:]
+	var tb *leafTable
+	leaves := []int32{0} // a scalar τ has one leaf, the empty path
 	if aggregate(τ) {
-		tb := f.table(τ)
-		δs = δs[:0]
-		for _, δ := range tb.leaves {
-			δs = append(δs, tb.nodes[δ].comps)
-		}
+		tb = f.table(τ)
+		leaves = tb.leaves
 	}
-	for _, δ := range δs {
-		ds, m1 := f.lk(τ, δ, dst)
-		ss, m2 := f.lk(τ, δ, src)
+	for _, δ := range leaves {
+		var path ir.Path
+		if tb != nil {
+			path = tb.nodes[δ].comps
+		}
+		ds, m1 := f.lk(τ, path, dst)
+		ss, m2 := f.lk(τ, path, src)
 		if m1 || m2 {
 			mismatch = true
 		}
 		edges = pairs(edges, ds, ss)
 	}
 	f.scratch = edges
-	return slices.Clone(edges), mismatch
+	return edges, mismatch
 }
 
 // pairs appends the edges ⟨d, s⟩ for every d in ds and s in ss.

@@ -186,8 +186,7 @@ func (s *Offsets) Normalize(obj *ir.Object, path ir.Path) Cell {
 	return Cell{Obj: obj, Off: off, ByOff: true}
 }
 
-// Lookup implements Strategy. Unlike the field-based instances it is not
-// memoized: an offset sum is cheaper than hashing a memo key.
+// Lookup implements Strategy.
 func (s *Offsets) Lookup(τ *types.Type, path ir.Path, target Cell) []Cell {
 	// No type test (results depend only on the declared type's layout);
 	// mismatch columns do not apply to this instance.
@@ -198,7 +197,7 @@ func (s *Offsets) Lookup(τ *types.Type, path ir.Path, target Cell) []Cell {
 	return nil // out-of-bounds access, no referent (Assumption 1)
 }
 
-// Resolve implements Strategy (not memoized, like Lookup).
+// Resolve implements Strategy.
 func (s *Offsets) Resolve(dst, src Cell, τ *types.Type) []Edge {
 	s.rec.recordResolve(isRecordType(τ) || objIsRecord(dst.Obj) || objIsRecord(src.Obj), false)
 	size := int64(-1) // unknown extent: copy everything from the offsets on

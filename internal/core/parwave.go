@@ -17,7 +17,7 @@ import (
 // like the sequential walk. A delta crossing into a foreign shard is not
 // applied — it is published into the publishing shard's per-destination
 // pending buffer. Everything that touches shared solver state — strategy
-// rule firing (memo tables, Figure-3 counters, addEdge/addFact), the
+// rule firing (per-object caches, Figure-3 counters, addEdge/addFact), the
 // factObjs index, the dirty list, the counters — is deferred to the
 // barrier, which runs on the solver goroutine and replays the shards'
 // outputs in ascending shard order. Two consequences:

@@ -380,11 +380,9 @@ func (s *solver) seed(seeds []SeedFact) {
 func (s *solver) restoreEdge(e Edge) {
 	src := s.cellID(e.Src)
 	dst := s.cellID(e.Dst)
-	key := edgeKey{dst: dst, src: src, size: e.Size}
-	if s.edgeSet[key] {
+	if s.edgeSeen(src, dst, e.Size) {
 		return
 	}
-	s.edgeSet[key] = true
 	if s.exact && e.Size == 0 {
 		if cap(s.exactOut[src]) == 0 {
 			s.exactOut[src] = s.arenaIDs(2)
@@ -437,35 +435,28 @@ func newSolver(ctx context.Context, prog *ir.Program, strat Strategy, opts Optio
 			copies++
 		}
 	}
+	// Slots per object: the nodes of its leaf table under the field
+	// strategies, one otherwise.
+	nodes := func(*ir.Object) int32 { return 1 }
+	if nc, ok := strat.(interface{ nodeCount(*ir.Object) int32 }); ok {
+		nodes = nc.nodeCount
+	}
 	s := &solver{
-		ctx:       ctx,
-		limits:    opts.Limits,
-		prog:      prog,
-		strat:     strat,
-		opts:      opts,
-		table:     newCellTable(ncells),
-		normCache: make(map[*ir.Object]CellID),
-		factObjs:  make(map[*ir.Object][]CellID),
-		edgeSet:   make(map[edgeKey]bool, copies+4*(len(prog.Stmts)-copies)),
-		bound:     make(map[callBinding]bool),
-		pts:       make([]Bits, 0, ncells),
-		delta:     make([]Bits, 0, ncells),
-		watchers:  make([][]watch, 0, ncells),
-		exactOut:  make([][]CellID, 0, ncells),
+		ctx:      ctx,
+		limits:   opts.Limits,
+		prog:     prog,
+		strat:    strat,
+		opts:     opts,
+		table:    newCellTable(prog, nodes, ncells),
+		exactSet: make(map[uint64]struct{}, copies+4*(len(prog.Stmts)-copies)),
+		bound:    make(map[callBinding]bool),
+		pts:      make([]Bits, 0, ncells),
+		delta:    make([]Bits, 0, ncells),
+		watchers: make([][]watch, 0, ncells),
+		exactOut: make([][]CellID, 0, ncells),
 	}
 	if ee, ok := strat.(exactEdger); ok {
 		s.exact = ee.exactEdges()
-	}
-	// Interned resolve results skip addEdge's per-edge interning, which is
-	// only equivalent when adding an exact edge interns nothing else.
-	if r, ok := strat.(internResolver); ok && s.exact {
-		s.ires = r
-		s.internFn = s.cellID
-		// Every copy statement resolves once while seeding, mostly with
-		// distinct operands: a lower bound on the memo's size that spares
-		// copy-heavy programs its incremental growth. Likewise nearly
-		// every object gets its cells computed.
-		r.reserve(nobj, copies)
 	}
 	// Wave scheduling + online cycle elimination: exact-edge strategies
 	// only (range edges are excluded from collapse by construction), and
@@ -547,8 +538,9 @@ type memPairID struct {
 	dst, src CellID
 }
 
-// edgeKey dedups copy edges by interned endpoints — cheaper to hash than an
-// Edge (two Cell structs), and equivalent since interning is injective.
+// edgeKey dedups range copy edges by interned endpoints — cheaper to hash
+// than an Edge (two Cell structs), and equivalent since interning is
+// injective. Exact edges (Size 0) pack their endpoints into one uint64.
 type edgeKey struct {
 	dst, src CellID
 	size     int64
@@ -582,17 +574,17 @@ type solver struct {
 	flagged map[*ir.Stmt]bool
 
 	table     *CellTable
-	normCache map[*ir.Object]CellID // Normalize(obj, nil) interned, per object
-	ires      internResolver        // the strategy, when it interns resolve results once
-	internFn  func(Cell) CellID     // s.cellID, bound once
+	normCache objMap[CellID] // Normalize(obj, nil) interned, per object
 
-	pts      []Bits                  // points-to sets, indexed by CellID
-	delta    []Bits                  // pending new targets, indexed by CellID
-	dirty    []CellID                // cells whose delta is non-empty
-	watchers [][]watch               // statement premises, indexed by CellID
-	factObjs map[*ir.Object][]CellID // cells with facts, per object (for edges)
+	pts      []Bits           // points-to sets, indexed by CellID
+	delta    []Bits           // pending new targets, indexed by CellID
+	dirty    []CellID         // cells whose delta is non-empty
+	watchers [][]watch        // statement premises, indexed by CellID
+	factObjs objMap[[]CellID] // cells with facts, per object (for edges)
 
-	edgeSet map[edgeKey]bool
+	// Copy-edge dedup: exact edges by dst<<32 | src, range edges by key.
+	exactSet map[uint64]struct{}
+	rangeSet map[edgeKey]bool
 	// Copy-edge indexes. Strategies whose PropagateEdge fires exactly on
 	// the edge's source cell (the field-based instances) get their edges
 	// indexed by source CellID — drain then walks a []CellID instead of
@@ -743,14 +735,13 @@ func (s *solver) cellID(c Cell) CellID {
 }
 
 // normID interns Normalize(obj, nil) through a per-object cache: rule
-// firings normalize the same destination objects over and over, and for the
-// field strategies each Normalize allocates a path string.
+// firings normalize the same destination objects over and over.
 func (s *solver) normID(obj *ir.Object) CellID {
-	if id, ok := s.normCache[obj]; ok {
+	if id, ok := s.normCache.get(obj); ok {
 		return id
 	}
 	id := s.cellID(s.norm(obj, nil))
-	s.normCache[obj] = id
+	*s.normCache.at(obj) = id
 	return id
 }
 
@@ -1028,12 +1019,11 @@ func (s *solver) addFact(c, tgt CellID) {
 
 // recordFactObj indexes a newly non-empty cell under its object.
 func (s *solver) recordFactObj(c CellID) {
-	obj := s.table.Cell(c).Obj
-	lst := s.factObjs[obj]
-	if cap(lst) == 0 {
-		lst = s.arenaIDs(4)
+	lst := s.factObjs.at(s.table.Cell(c).Obj)
+	if cap(*lst) == 0 {
+		*lst = s.arenaIDs(4)
 	}
-	s.factObjs[obj] = append(lst, c)
+	*lst = append(*lst, c)
 }
 
 // mergeFrom unions src's points-to set into dst's, pushing exactly the new
@@ -1146,54 +1136,46 @@ func (s *solver) drain(c CellID) {
 	s.recycleBits(batch)
 }
 
-// internResolver is implemented by the memoizing field strategies: resolve
-// with the result's endpoints interned into table once per memo entry, and
-// fresh == false when table's solver already added every edge of the
-// result (memo.go). ids is nil when the strategy's memo is off. reserve
-// sizes the resolve memo for about n distinct calls.
-type internResolver interface {
-	resolveInterned(dst, src Cell, τ *types.Type, table *CellTable, intern func(Cell) CellID) (edges []Edge, ids []CellID, fresh bool)
-	reserve(objects, copies int)
+// resolve adds the copy edges of resolve(dst, src, τ). addEdge never calls
+// back into the strategy's Resolve, so the result (possibly the strategy's
+// working buffer) stays intact while it is walked.
+func (s *solver) resolve(dst, src Cell, τ *types.Type) {
+	for _, e := range s.strat.Resolve(dst, src, τ) {
+		s.addEdge(e)
+	}
 }
 
-// resolve adds the copy edges of resolve(dst, src, τ).
-func (s *solver) resolve(dst, src Cell, τ *types.Type) {
-	if s.ires == nil {
-		for _, e := range s.strat.Resolve(dst, src, τ) {
-			s.addEdge(e)
+// edgeSeen reports whether the copy edge src → dst of the given size was
+// already added, recording it if not.
+func (s *solver) edgeSeen(src, dst CellID, size int64) bool {
+	if size == 0 {
+		k := uint64(dst)<<32 | uint64(src)
+		if _, ok := s.exactSet[k]; ok {
+			return true
 		}
-		return
+		s.exactSet[k] = struct{}{}
+		return false
 	}
-	edges, ids, fresh := s.ires.resolveInterned(dst, src, τ, s.table, s.internFn)
-	switch {
-	case !fresh:
-	case ids == nil:
-		for _, e := range edges {
-			s.addEdge(e)
-		}
-	default:
-		for i, e := range edges {
-			s.addEdgeIDs(ids[2*i], ids[2*i+1], e)
-		}
+	k := edgeKey{dst: dst, src: src, size: size}
+	if s.rangeSet[k] {
+		return true
 	}
+	if s.rangeSet == nil {
+		s.rangeSet = make(map[edgeKey]bool)
+	}
+	s.rangeSet[k] = true
+	return false
 }
 
 // addEdge records a copy edge and replays existing facts at its source.
-// Endpoints are interned here — once per distinct edge — so propagation and
-// deduplication never re-hash a Cell struct.
+// Endpoints are interned here, so propagation and deduplication work on
+// ids.
 func (s *solver) addEdge(e Edge) {
 	src := s.cellID(e.Src)
 	dst := s.cellID(e.Dst)
-	s.addEdgeIDs(src, dst, e)
-}
-
-// addEdgeIDs is addEdge with e's endpoints already interned as src and dst.
-func (s *solver) addEdgeIDs(src, dst CellID, e Edge) {
-	key := edgeKey{dst: dst, src: src, size: e.Size}
-	if s.edgeSet[key] {
+	if s.edgeSeen(src, dst, e.Size) {
 		return
 	}
-	s.edgeSet[key] = true
 	if s.noteEdge != nil {
 		s.noteEdge(e.Dst.Obj, e.Src.Obj)
 	}
@@ -1221,7 +1203,8 @@ func (s *solver) addEdgeIDs(src, dst CellID, e Edge) {
 		s.edgeIdx = make(map[*ir.Object][]Edge)
 	}
 	s.edgeIdx[e.Src.Obj] = append(s.edgeIdx[e.Src.Obj], e)
-	for _, cid := range s.factObjs[e.Src.Obj] {
+	lst, _ := s.factObjs.get(e.Src.Obj)
+	for _, cid := range lst {
 		if dst, ok := s.strat.PropagateEdge(e, s.table.Cell(cid)); ok {
 			if dstID := s.cellID(dst); dstID != cid {
 				s.mergeFrom(dstID, &s.pts[cid])

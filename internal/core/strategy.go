@@ -18,16 +18,14 @@ type Recorder struct {
 	ResolveStructs    int `json:"resolve_structs" unit:"calls" class:"pure" help:"resolve calls that involved structures"`
 	ResolveMismatches int `json:"resolve_mismatches" unit:"calls" class:"pure" help:"struct resolve calls whose types did not match"`
 
-	// Cache counters for the strategy-level memoization of the field-based
-	// instances (zero for Collapse Always and Offsets, which keep no memo).
-	// The call counts above are LOGICAL calls — hits increment them too —
-	// so Figure 3's semantics are unchanged by caching; hits+misses equals
-	// the lookup call count (and covers the resolve calls, plus the
-	// uncounted unknown-extent resolves).
-	LookupCacheHits    int `json:"lookup_cache_hits,omitempty" unit:"calls" class:"schedule" help:"lookup calls served from the memo"`
-	LookupCacheMisses  int `json:"lookup_cache_misses,omitempty" unit:"calls" class:"schedule" help:"lookup calls computed and memoized"`
-	ResolveCacheHits   int `json:"resolve_cache_hits,omitempty" unit:"calls" class:"schedule" help:"resolve calls served from the memo"`
-	ResolveCacheMisses int `json:"resolve_cache_misses,omitempty" unit:"calls" class:"schedule" help:"resolve calls computed and memoized"`
+	// Cache counters of the lookup/resolve memo the field-based instances
+	// once kept. The memo is gone (DESIGN.md §5.3) and no instance sets
+	// them; they stay so that readers of the recorder keep compiling, and
+	// always read 0.
+	LookupCacheHits    int `json:"lookup_cache_hits,omitempty" unit:"calls" class:"schedule" help:"always 0: the lookup memo was removed"`
+	LookupCacheMisses  int `json:"lookup_cache_misses,omitempty" unit:"calls" class:"schedule" help:"always 0: the lookup memo was removed"`
+	ResolveCacheHits   int `json:"resolve_cache_hits,omitempty" unit:"calls" class:"schedule" help:"always 0: the resolve memo was removed"`
+	ResolveCacheMisses int `json:"resolve_cache_misses,omitempty" unit:"calls" class:"schedule" help:"always 0: the resolve memo was removed"`
 }
 
 func (r *Recorder) recordLookup(isStruct, mismatch bool) {
@@ -76,7 +74,9 @@ type Strategy interface {
 	// dst and src are the normalized endpoints and τ is the declared
 	// type of the assignment's left-hand side, which fixes the copy
 	// size (the paper's resolve; τ == nil means a copy of unknown
-	// extent, e.g. memcpy).
+	// extent, e.g. memcpy). The result may be the strategy's working
+	// buffer: it is valid until the next Resolve call and must not be
+	// modified.
 	Resolve(dst, src Cell, τ *types.Type) []Edge
 
 	// CellsOf enumerates the normalized cells of an object (used for

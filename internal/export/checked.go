@@ -88,9 +88,14 @@ func ReadSnapshotChecked(r io.Reader) (*Snapshot, error) {
 	if _, err := fmt.Sscanf(fields[2], "%d", &length); err != nil || length < 0 {
 		return nil, corruptf("malformed length %q", fields[2])
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	// Read what is there rather than allocating the declared length: a
+	// damaged header may declare more bytes than any file holds.
+	payload, err := io.ReadAll(io.LimitReader(br, length))
+	if err != nil {
 		return nil, corruptf("truncated payload: %v", err)
+	}
+	if int64(len(payload)) != length {
+		return nil, corruptf("truncated payload: %d of %d bytes", len(payload), length)
 	}
 	// Trailing bytes beyond the declared length mean the file is not what
 	// the header vouches for (e.g. two writes interleaved).

@@ -71,6 +71,10 @@ func TestCheckedDetectsCorruption(t *testing.T) {
 			return c
 		},
 		"trailing-garbage": func(b []byte) []byte { return append(append([]byte(nil), b...), "extra"...) },
+		"huge-length": func(b []byte) []byte {
+			fields := bytes.Fields(b[:bytes.IndexByte(b, '\n')])
+			return append([]byte(string(fields[0])+" "+string(fields[1])+" 2222222222225417\n"), b[bytes.IndexByte(b, '\n')+1:]...)
+		},
 		"header-only": func(b []byte) []byte {
 			i := bytes.IndexByte(b, '\n')
 			return b[:i+1]

@@ -62,7 +62,6 @@ type Config struct {
 	NoLibSummaries     bool `json:"no_lib_summaries,omitempty"`
 	CloneAllocWrappers bool `json:"clone_alloc_wrappers,omitempty"`
 	NoPtrArithSmear    bool `json:"no_ptr_arith_smear,omitempty"`
-	NoMemoization      bool `json:"no_memoization,omitempty"`
 	NoCycleElim        bool `json:"no_cycle_elim,omitempty"`
 }
 
@@ -118,9 +117,6 @@ func (c Config) strategy(lay *layout.Engine) (core.Strategy, error) {
 	s := metrics.NewStrategy(c.withDefaults().Strategy, lay)
 	if s == nil {
 		return nil, fmt.Errorf("incr: unknown strategy %q", c.Strategy)
-	}
-	if c.NoMemoization {
-		core.SetMemoization(s, false)
 	}
 	return s, nil
 }

@@ -156,8 +156,7 @@ func (m *mirror) edge(e core.Edge) {
 }
 
 // counterDiff extracts the logical Figure-3 counters from a before/after
-// recorder pair, dropping the cache split (hit/miss attribution depends on
-// memo state accumulated across statements and is not carried over).
+// recorder pair.
 func counterDiff(before, after core.Recorder) core.Recorder {
 	var d core.Recorder
 	addPure(&d, &after, 1)

@@ -113,6 +113,7 @@ func TestSnapshotAdversarial(t *testing.T) {
 		"short-header":   []byte(snapMagic + " abc\n"),
 		"bad-digest":     []byte(snapMagic + " zz 4\nnull"),
 		"bad-length":     []byte(snapMagic + " " + strings.Repeat("a", 64) + " -4\nnull"),
+		"huge-length":    []byte(snapMagic + " " + strings.Repeat("a", 64) + " 2222222222225417\nnull"),
 		"truncated":      valid[:len(valid)-7],
 		"trailing-tail":  append(append([]byte{}, valid...), "extra"...),
 		"not-a-snapshot": []byte("just some text\nmore text\n"),
@@ -148,6 +149,30 @@ func TestSnapshotAdversarial(t *testing.T) {
 	// The uncorrupted bytes still decode after all that.
 	if _, err := ReadSnapshot(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+}
+
+// TestSnapshotRejectsRemovedKnob: a snapshot written while the config still
+// had the lookup/resolve memo switch carries "no_memoization", a field the
+// decoder no longer knows. It must decode as corrupt, so a caller
+// quarantines it and solves cold, and that cold solve reproduces the graph.
+func TestSnapshotRejectsRemovedKnob(t *testing.T) {
+	g := solveSnapProgram(t, Config{})
+	valid := encodeGraph(t, g)
+	payload := string(valid[bytes.IndexByte(valid, '\n')+1:])
+	if !strings.Contains(payload, `"config":{`) {
+		t.Fatalf("payload has no config object: %.80s", payload)
+	}
+	var old bytes.Buffer
+	writeChecked(t, &old, []byte(strings.Replace(payload, `"config":{`, `"config":{"no_memoization":true,`, 1)))
+
+	_, err := ReadSnapshot(bytes.NewReader(old.Bytes()))
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want *CorruptError, got %T: %v", err, err)
+	}
+	if cold := encodeGraph(t, solveSnapProgram(t, Config{})); !bytes.Equal(cold, valid) {
+		t.Fatal("cold re-solve does not reproduce the snapshot")
 	}
 }
 

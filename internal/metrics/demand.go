@@ -109,9 +109,6 @@ func MeasureDemandContext(ctx context.Context, name string, sources []frontend.S
 
 	newDemand := func(sn string) *core.Demand {
 		strat := NewStrategy(sn, res.Layout)
-		if opts.NoMemo {
-			core.SetMemoization(strat, false)
-		}
 		return core.NewDemand(res.IR, strat, core.Options{NoCycleElim: opts.NoCycleElim}, 0)
 	}
 
@@ -145,9 +142,6 @@ func MeasureDemandContext(ctx context.Context, name string, sources []frontend.S
 		for r := 0; r < repeat; r++ {
 			// Exhaustive baseline.
 			strat := NewStrategy(sn, res.Layout)
-			if opts.NoMemo {
-				core.SetMemoization(strat, false)
-			}
 			full := core.AnalyzeContext(ctx, res.IR, strat,
 				core.Options{Limits: opts.Limits, NoCycleElim: opts.NoCycleElim})
 			if full.Incomplete != nil {

@@ -161,9 +161,6 @@ type Options struct {
 	// schedule counters (waves, edge batches, steals) are not, so regress
 	// baselines are recorded sequentially (the 0/1 default).
 	SolveParallelism int
-	// NoMemo disables the strategies' lookup/resolve memoization
-	// (ablation; results are identical, only speed changes).
-	NoMemo bool
 	// NoCycleElim disables the dense solver's online cycle elimination and
 	// wave scheduling (ablation; results are identical, only the schedule
 	// and the constraint-graph counters change).
@@ -214,9 +211,6 @@ func MeasureContext(ctx context.Context, name string, sources []frontend.Source,
 		var best *Run
 		for i := 0; i < repeat; i++ {
 			strat := NewStrategy(sn, res.Layout)
-			if opts.NoMemo {
-				core.SetMemoization(strat, false)
-			}
 			r := core.AnalyzeContext(ctx, res.IR, strat,
 				core.Options{Limits: opts.Limits, NoCycleElim: opts.NoCycleElim,
 					NoPrepass: opts.NoPrepass, TrackPeakMem: opts.TrackPeakMem,
@@ -329,9 +323,6 @@ func MeasureCorpusContext(ctx context.Context, specs []Spec, fopts frontend.Opti
 		jobs := make([]core.BatchJob, len(pairs))
 		for i, pr := range pairs {
 			strat := NewStrategy(names[pr.strat], engines[i])
-			if opts.NoMemo {
-				core.SetMemoization(strat, false)
-			}
 			jobs[i] = core.BatchJob{Prog: loaded[pr.prog].IR, Strat: strat,
 				Opts: core.Options{Limits: opts.Limits, NoCycleElim: opts.NoCycleElim,
 					NoPrepass: opts.NoPrepass, TrackPeakMem: opts.TrackPeakMem,

@@ -26,7 +26,7 @@ const keyVersion = "ptrcache/1"
 // report is a different (partial) value than the full fixpoint. Deliberately
 // excluded: Timeout (canceled runs are never cached), Config.Parallelism,
 // Options.Parallelism (the intra-solve wave executor is byte-identical to
-// the sequential solver at every worker count), NoMemoization,
+// the sequential solver at every worker count),
 // DemandBudget (none changes the result, only how fast it arrives — a
 // budget trip reroutes to the same exhaustive fixpoint), and
 // NoPrepass/TrackPeakMem (the offline constraint-reduction prepass and its
@@ -38,11 +38,11 @@ const keyVersion = "ptrcache/1"
 // The incremental layer reuses these keys as graph-residency addresses: an
 // /v1/analyze response's key is what a later request passes as "base" to
 // resume from that solve's captured constraint graph. Graph identity is
-// narrower than key identity — NoMemoization and NoCycleElim participate in
-// a graph's captured config (incr.Config) even though they are excluded
-// here, and Limits/FlagMisuse configs never capture graphs at all — so the
-// server re-checks the captured config on every resume rather than trusting
-// the key alone.
+// narrower than key identity — NoCycleElim participates in a graph's
+// captured config (incr.Config) even though it is excluded here, and
+// Limits/FlagMisuse configs never capture graphs at all — so the server
+// re-checks the captured config on every resume rather than trusting the
+// key alone.
 func Key(sources []pointsto.Source, cfg pointsto.Config) string {
 	h := sha256.New()
 	io.WriteString(h, keyVersion)

@@ -85,7 +85,7 @@
 //
 // A Graph's identity is the captured Config: Strategy, ABI and the
 // result-changing Options (ModelMainArgs, NoLibSummaries,
-// CloneAllocWrappers, NoPtrArithSmear, NoMemoization, NoCycleElim) must all
+// CloneAllocWrappers, NoPtrArithSmear, NoCycleElim) must all
 // match for a resume; Timeout, Config.Parallelism, Options.Parallelism and
 // DemandBudget are excluded because they never change an answer. Configs with Limits or FlagMisuse
 // are not resumable at all (Config.Resumable reports this) and always solve

@@ -12,7 +12,7 @@ package pointsto
 // Graph identity: a graph is only valid for resuming configs equal to the
 // one it was captured under. Strategy, ABI, and the result-changing Options
 // (ModelMainArgs, NoLibSummaries, CloneAllocWrappers, NoPtrArithSmear,
-// NoMemoization, NoCycleElim) all participate in that identity; Timeout,
+// NoCycleElim) all participate in that identity; Timeout,
 // Config.Parallelism, Options.Parallelism and DemandBudget do not (they
 // never change an answer).
 // Configs carrying Limits or FlagMisuse are not resumable at all — an
@@ -129,7 +129,6 @@ func incrConfig(cfg Config) (incr.Config, bool) {
 		NoLibSummaries:     cfg.Options.NoLibSummaries,
 		CloneAllocWrappers: cfg.Options.CloneAllocWrappers,
 		NoPtrArithSmear:    cfg.Options.NoPtrArithSmear,
-		NoMemoization:      cfg.Options.NoMemoization,
 		NoCycleElim:        cfg.Options.NoCycleElim,
 	}, true
 }

@@ -79,9 +79,6 @@ type Options struct {
 	// FlagMisuse additionally tracks possibly corrupted pointers and
 	// reports dereferences of them via Report.Misuses.
 	FlagMisuse bool
-	// NoMemoization disables the solver's lookup/resolve caches (results
-	// are identical; ablation only).
-	NoMemoization bool
 	// NoCycleElim disables online cycle elimination and topological wave
 	// scheduling in the dense solver, falling back to the classic
 	// per-fact worklist (results are identical; ablation only).
@@ -228,9 +225,6 @@ func AnalyzeAllContext(ctx context.Context, sources []Source, cfg Config, strate
 			Strat: newStrategy(s, layout.New(res.Layout.ABI())),
 			Opts:  coreOptions(cfg),
 		}
-		if cfg.Options.NoMemoization {
-			core.SetMemoization(jobs[i].Strat, false)
-		}
 	}
 	results, jobErrs := core.AnalyzeBatchContext(ctx, jobs, cfg.Parallelism)
 	reports = make([]*Report, len(results))
@@ -270,9 +264,6 @@ func load(sources []Source, cfg Config) (*frontend.Result, error) {
 
 func solve(ctx context.Context, res *frontend.Result, cfg Config) *Report {
 	strat := newStrategy(cfg.Strategy, res.Layout)
-	if cfg.Options.NoMemoization {
-		core.SetMemoization(strat, false)
-	}
 	result := core.AnalyzeContext(ctx, res.IR, strat, coreOptions(cfg))
 	return &Report{strategy: cfg.Strategy, res: res, result: result}
 }

@@ -219,9 +219,6 @@ func (s *Session) demandSets(ctx context.Context, objs []*ir.Object) ([]core.Cel
 	}
 	if s.demand == nil {
 		strat := newStrategy(s.cfg.Strategy, layout.New(s.res.Layout.ABI()))
-		if s.cfg.Options.NoMemoization {
-			core.SetMemoization(strat, false)
-		}
 		s.demand = core.NewDemand(s.res.IR, strat, coreOptions(s.cfg), s.demandBudget())
 	}
 	before := s.demand.Stats().MemoHits

@@ -75,7 +75,7 @@ tmp="${out}.tmp"
 if [ "$short" = 1 ]; then
 	count=3
 	benchtime=5x
-	filter='Benchmark(SolverRepresentation|Preprocess)/(anagram|less|compiler|large)'
+	filter='Benchmark(SolverRepresentation|Preprocess)/(anagram|less|compiler|large|casts)'
 else
 	count=10
 	benchtime=20x
