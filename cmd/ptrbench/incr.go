@@ -78,7 +78,7 @@ func runIncr(ctx context.Context, names []string, abi string, repeat, editsN int
 				coldWalls = append(coldWalls, time.Since(start))
 				coldFacts = res.TotalFacts()
 				capStart := time.Now()
-				if _, err := incr.Capture(newSrc, cfg, fres, res); err != nil {
+				if _, err := incr.Capture(newSrc, cfg, fres.IR, fres.Layout, res); err != nil {
 					return fmt.Errorf("%s/%s: capture: %w", name, ed, err)
 				}
 				captures = append(captures, time.Since(capStart))

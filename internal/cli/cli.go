@@ -89,7 +89,7 @@ func PrintSites(w io.Writer, result *core.Result, prog *ir.Program) {
 func PrintModRef(w io.Writer, result *core.Result, prog *ir.Program) {
 	sum := modref.Compute(prog, result)
 	for _, fn := range prog.Funcs {
-		if fn.Sym.Def == nil {
+		if !fn.Sym.Body {
 			continue
 		}
 		eff := sum.Transitive[fn]
@@ -103,7 +103,7 @@ func PrintModRef(w io.Writer, result *core.Result, prog *ir.Program) {
 func PrintCallGraph(w io.Writer, result *core.Result, prog *ir.Program) {
 	sum := modref.Compute(prog, result)
 	for _, fn := range prog.Funcs {
-		if fn.Sym.Def == nil {
+		if !fn.Sym.Body {
 			continue
 		}
 		var callees []string

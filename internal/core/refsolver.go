@@ -373,10 +373,7 @@ func (s *refSolver) applyRule(w watch, tgt Cell) {
 		}
 
 	case ir.OpCall:
-		if tgt.Obj.Kind != ir.ObjFunc || tgt.Obj.Sym == nil {
-			return
-		}
-		fn := s.prog.FuncOf[tgt.Obj.Sym]
+		fn := tgt.Obj.Fn
 		if fn == nil {
 			return
 		}

@@ -1017,8 +1017,11 @@ func (s *solver) addFact(c, tgt CellID) {
 	s.delta[c].Add(tgt)
 }
 
-// recordFactObj indexes a newly non-empty cell under its object.
+// recordFactObj indexes a newly non-empty cell under its object for range edges.
 func (s *solver) recordFactObj(c CellID) {
+	if s.exact {
+		return
+	}
 	lst := s.factObjs.at(s.table.Cell(c).Obj)
 	if cap(*lst) == 0 {
 		*lst = s.arenaIDs(4)
@@ -1337,10 +1340,7 @@ func (s *solver) applyRule(w watch, tgt Cell, tgtID CellID) {
 
 	case ir.OpCall:
 		// Context-insensitive binding.
-		if tgt.Obj.Kind != ir.ObjFunc || tgt.Obj.Sym == nil {
-			return
-		}
-		fn := s.prog.FuncOf[tgt.Obj.Sym]
+		fn := tgt.Obj.Fn
 		if fn == nil {
 			return
 		}

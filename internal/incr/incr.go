@@ -37,6 +37,7 @@ import (
 	"repro/internal/cc/layout"
 	"repro/internal/core"
 	"repro/internal/frontend"
+	"repro/internal/ir"
 	"repro/internal/metrics"
 )
 
@@ -122,7 +123,7 @@ func (c Config) strategy(lay *layout.Engine) (core.Strategy, error) {
 }
 
 // Graph is the persistent constraint-graph state of one completed solve:
-// the sources and parsed program it came from, the per-unit fingerprints,
+// the sources and the IR it came from, the per-unit fingerprints,
 // and every cell's final points-to set in the order the solver first
 // interned the cells (which keeps resume seeding deterministic).
 //
@@ -140,7 +141,8 @@ func (c Config) strategy(lay *layout.Engine) (core.Strategy, error) {
 type Graph struct {
 	cfg     Config
 	sources []frontend.Source
-	res     *frontend.Result
+	prog    *ir.Program
+	lay     *layout.Engine
 	units   map[string]string
 	order   []core.Cell
 	facts   map[core.Cell][]core.Cell
@@ -158,12 +160,12 @@ func (g *Graph) artifacts() (*artifacts, error) {
 	g.artOnce.Do(func() {
 		// The mirror dirties its strategy's recorder and memo, so it gets
 		// a throwaway instance over the captured layout.
-		strat, err := g.cfg.strategy(layout.New(g.res.Layout.ABI()))
+		strat, err := g.cfg.strategy(layout.New(g.lay.ABI()))
 		if err != nil {
 			g.artErr = err
 			return
 		}
-		g.art = buildArtifacts(g.res.IR, strat, g.facts)
+		g.art = buildArtifacts(g.prog, strat, g.facts)
 	})
 	return g.art, g.artErr
 }
@@ -186,11 +188,11 @@ func (g *Graph) NumFacts() int {
 	return n
 }
 
-// Capture folds a completed solve into a resumable Graph. The result must
-// have reached fixpoint and must have been produced under cfg over exactly
-// these sources; violations are errors, not fallbacks, because a
-// miscaptured graph would poison every later Resume.
-func Capture(sources []frontend.Source, cfg Config, res *frontend.Result, result *core.Result) (*Graph, error) {
+// Capture folds a completed solve of prog, laid out by lay, into a
+// resumable Graph. The result must have reached fixpoint and must have been
+// produced under cfg over exactly these sources; violations are errors, not
+// fallbacks, because a miscaptured graph would poison every later Resume.
+func Capture(sources []frontend.Source, cfg Config, prog *ir.Program, lay *layout.Engine, result *core.Result) (*Graph, error) {
 	cfg = cfg.withDefaults()
 	if result.Incomplete != nil {
 		return nil, fmt.Errorf("incr: cannot capture an incomplete solve (%s)", result.Incomplete.Reason)
@@ -201,8 +203,9 @@ func Capture(sources []frontend.Source, cfg Config, res *frontend.Result, result
 	g := &Graph{
 		cfg:     cfg,
 		sources: append([]frontend.Source(nil), sources...),
-		res:     res,
-		units:   fingerprints(res.IR),
+		prog:    prog,
+		lay:     lay,
+		units:   fingerprints(prog),
 		facts:   make(map[core.Cell][]core.Cell),
 	}
 	result.Facts(func(c core.Cell, targets []core.Cell) {
@@ -241,7 +244,7 @@ func Solve(ctx context.Context, sources []frontend.Source, cfg Config) (*Graph, 
 	if result.Incomplete != nil {
 		return nil, result, fmt.Errorf("incr: solve stopped early (%s)", result.Incomplete.Reason)
 	}
-	g, err := Capture(sources, cfg, res, result)
+	g, err := Capture(sources, cfg, res.IR, res.Layout, result)
 	if err != nil {
 		return nil, result, err
 	}

@@ -94,7 +94,6 @@ func (a *artifacts) tainted(prog *ir.Program, retracted func(*ir.Stmt) bool) map
 }
 
 type mirror struct {
-	prog  *ir.Program
 	strat core.Strategy
 	pts   map[core.Cell][]core.Cell
 
@@ -112,7 +111,6 @@ type mirror struct {
 // get dirtied here and must never leak into a counted solve).
 func buildArtifacts(prog *ir.Program, strat core.Strategy, pts map[core.Cell][]core.Cell) *artifacts {
 	m := &mirror{
-		prog:     prog,
 		strat:    strat,
 		pts:      pts,
 		arts:     make(map[*ir.Stmt]*stmtArt, len(prog.Stmts)),
@@ -265,10 +263,7 @@ func (m *mirror) stmt(st *ir.Stmt) {
 		w := norm(st.Ptr, nil)
 		art.watched = []core.Cell{w}
 		for _, tgt := range m.pts[w] {
-			if tgt.Obj.Kind != ir.ObjFunc || tgt.Obj.Sym == nil {
-				continue
-			}
-			fn := m.prog.FuncOf[tgt.Obj.Sym]
+			fn := tgt.Obj.Fn
 			if fn == nil {
 				continue
 			}

@@ -121,7 +121,7 @@ func Resume(ctx context.Context, g *Graph, newSources []frontend.Source, cfg Con
 		ParseTime:    start.Sub(parseStart),
 	}
 
-	m, err := buildMatch(g.res.IR, newRes.IR, d)
+	m, err := buildMatch(g.prog, newRes.IR, d)
 	if err != nil {
 		stats.FallbackReason = "match-conflict"
 		return fallbackLoaded(ctx, newRes, cfg, stats)
@@ -135,12 +135,12 @@ func Resume(ctx context.Context, g *Graph, newSources []frontend.Source, cfg Con
 	stats.DecodeTime = time.Since(decodeStart)
 	dirty := d.dirty()
 	retracted := func(st *ir.Stmt) bool { return dirty[unitOf(st)] }
-	for _, st := range g.res.IR.Stmts {
+	for _, st := range g.prog.Stmts {
 		if retracted(st) {
 			stats.StmtsRetracted++
 		}
 	}
-	tainted := arts.tainted(g.res.IR, retracted)
+	tainted := arts.tainted(g.prog, retracted)
 	stats.CellsTainted = len(tainted)
 
 	// Seed construction. ineligible marks old cells whose final set cannot
@@ -199,7 +199,7 @@ func Resume(ctx context.Context, g *Graph, newSources []frontend.Source, cfg Con
 		skip = make(map[*ir.Stmt]bool, len(m.stmts))
 		var mapped []core.Edge
 	stmts:
-		for _, oldSt := range g.res.IR.Stmts {
+		for _, oldSt := range g.prog.Stmts {
 			newSt, retained := m.stmts[oldSt]
 			if !retained {
 				continue

@@ -80,12 +80,12 @@ type snapPayload struct {
 
 // WriteSnapshot writes g in the checked ptrincr1 container format.
 func WriteSnapshot(w io.Writer, g *Graph) error {
-	objIdx := make(map[*ir.Object]int, len(g.res.IR.Objects))
-	for i, o := range g.res.IR.Objects {
+	objIdx := make(map[*ir.Object]int, len(g.prog.Objects))
+	for i, o := range g.prog.Objects {
 		objIdx[o] = i
 	}
 	cellIdx := make(map[core.Cell]int)
-	p := snapPayload{Version: snapVersion, Config: g.cfg, Objects: len(g.res.IR.Objects)}
+	p := snapPayload{Version: snapVersion, Config: g.cfg, Objects: len(g.prog.Objects)}
 	for _, s := range g.sources {
 		p.Sources = append(p.Sources, snapSource{Name: s.Name, Text: s.Text})
 	}
@@ -216,7 +216,8 @@ func rebind(p *snapPayload) (*Graph, error) {
 	g := &Graph{
 		cfg:     cfg,
 		sources: sources,
-		res:     res,
+		prog:    res.IR,
+		lay:     res.Layout,
 		units:   fingerprints(res.IR),
 		facts:   make(map[core.Cell][]core.Cell, len(p.Facts)),
 	}

@@ -39,13 +39,11 @@ type Config struct {
 // Build lowers a type-checked program to the normalized IR.
 func Build(prog *sema.Program, cfg Config) *Program {
 	b := &Builder{
-		sema: prog,
-		cfg:  cfg,
-		out: &Program{
-			Sema:     prog,
-			FuncOf:   make(map[*sema.Symbol]*Func),
-			ObjectOf: make(map[*sema.Symbol]*Object),
-		},
+		sema:    prog,
+		cfg:     cfg,
+		out:     &Program{},
+		objects: make([]*Object, len(prog.Symbols)+1),
+		syms:    make([]Symbol, len(prog.Symbols)+1),
 	}
 	b.build()
 	return b.out
@@ -54,13 +52,15 @@ func Build(prog *sema.Program, cfg Config) *Program {
 // Builder lowers AST to IR. Its exported Emit/New methods are also the API
 // package libsum uses to express library summaries.
 type Builder struct {
-	sema   *sema.Program
-	cfg    Config
-	out    *Program
-	fn     *Func // current function (nil during global initializers)
-	nextID int
-	nTemp  int
-	nSite  int
+	sema    *sema.Program
+	cfg     Config
+	out     *Program
+	fn      *Func     // current function (nil during global initializers)
+	objects []*Object // IR object per sema.Symbol.ID
+	syms    []Symbol  // IR symbol per sema.Symbol.ID, one allocation
+	nextID  int
+	nTemp   int
+	nSite   int
 }
 
 // Program returns the program under construction.
@@ -106,7 +106,7 @@ func (b *Builder) EmitCall(result, calleePtr *Object, args []*Object, pos token.
 }
 
 func (b *Builder) objectOf(sym *sema.Symbol) *Object {
-	if o, ok := b.out.ObjectOf[sym]; ok {
+	if o := b.objects[sym.ID]; o != nil {
 		return o
 	}
 	kind := ObjVar
@@ -117,8 +117,9 @@ func (b *Builder) objectOf(sym *sema.Symbol) *Object {
 		kind = ObjParam
 	}
 	o := b.newObject(sym.Unique, kind, sym.Type, sym.Pos)
-	o.Sym = sym
-	b.out.ObjectOf[sym] = o
+	o.Sym = &b.syms[sym.ID]
+	*o.Sym = Symbol{Name: sym.Name, Unique: sym.Unique, Global: sym.Global, Body: sym.Def != nil}
+	b.objects[sym.ID] = o
 	return o
 }
 
@@ -224,7 +225,7 @@ func (b *Builder) build() {
 
 	// Function bodies.
 	for _, sym := range b.sema.Funcs {
-		fn := b.out.FuncOf[sym]
+		fn := b.objects[sym.ID].Fn
 		b.fn = fn
 		if b.cfg.ModelMainArgs && sym.Name == "main" && len(fn.Params) >= 2 && fn.Params[1] != nil {
 			b.modelMainArgs(fn)
@@ -236,10 +237,11 @@ func (b *Builder) build() {
 
 // declareFunc creates (or returns) the IR Func for a function symbol.
 func (b *Builder) declareFunc(sym *sema.Symbol) *Func {
-	if fn, ok := b.out.FuncOf[sym]; ok {
-		return fn
+	obj := b.objectOf(sym)
+	if obj.Fn != nil {
+		return obj.Fn
 	}
-	fn := &Func{Sym: sym, Obj: b.objectOf(sym)}
+	fn := &Func{Sym: obj.Sym, Obj: obj}
 	sig := sym.Type.Sig
 
 	var paramSyms []*sema.Symbol
@@ -265,14 +267,14 @@ func (b *Builder) declareFunc(sym *sema.Symbol) *Func {
 	if !sig.Result.IsVoid() {
 		fn.Retval = b.newObject(sym.Unique+"::ret", ObjRetval, sig.Result, sym.Pos)
 	}
-	b.out.FuncOf[sym] = fn
+	obj.Fn = fn
 	b.out.Funcs = append(b.out.Funcs, fn)
 	return fn
 }
 
 // modelMainArgs gives argv something to point at.
 func (b *Builder) modelMainArgs(fn *Func) {
-	pos := fn.Sym.Pos
+	pos := fn.Obj.Pos
 	u := b.sema.Universe
 	charArr := types.ArrayOf(u.Basic(types.Char), 64)
 	strObj := b.newObject("argv@str", ObjString, charArr, pos)

@@ -59,10 +59,8 @@ func InlineAllocWrappers(p *Program, maxStmts int) int {
 			continue
 		}
 		assigns[st.Dst]++
-		if st.Op == OpAddrOf && st.Src != nil && st.Src.Kind == ObjFunc && st.Src.Sym != nil {
-			if fn := p.FuncOf[st.Src.Sym]; fn != nil {
-				funcOf[st.Dst] = fn
-			}
+		if st.Op == OpAddrOf && st.Src != nil && st.Src.Fn != nil {
+			funcOf[st.Dst] = st.Src.Fn
 		}
 	}
 

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cc/sema"
 	"repro/internal/cc/token"
 	"repro/internal/cc/types"
 )
@@ -62,6 +61,15 @@ func (k ObjKind) String() string {
 	return "obj"
 }
 
+// Symbol is what the IR keeps of a source symbol. It has no link back into
+// the front end, so a lowered program does not keep the AST alive.
+type Symbol struct {
+	Name   string // source name
+	Unique string // program-wide unique name; inline clones share their original's
+	Global bool
+	Body   bool // a function defined in the program, not an external
+}
+
 // Object is an abstract memory object: a variable, parameter, function,
 // allocation site, string literal, return-value slot or temporary.
 type Object struct {
@@ -69,7 +77,8 @@ type Object struct {
 	Name string
 	Kind ObjKind
 	Type *types.Type
-	Sym  *sema.Symbol // nil for temps/heap/strings
+	Sym  *Symbol // nil for temps/heap/strings
+	Fn   *Func   // the function's IR, for function objects that have one
 	Pos  token.Pos
 }
 
@@ -217,7 +226,7 @@ func (s *Stmt) String() string {
 
 // Func groups the IR artifacts of one function.
 type Func struct {
-	Sym     *sema.Symbol
+	Sym     *Symbol
 	Obj     *Object
 	Params  []*Object
 	Retval  *Object // nil for void result
@@ -229,16 +238,10 @@ func (f *Func) String() string { return f.Sym.Unique }
 
 // Program is the whole-program IR.
 type Program struct {
-	Sema    *sema.Program
 	Objects []*Object
 	Funcs   []*Func
 	Stmts   []*Stmt // every statement, including global initializers
 	Sites   []*DerefSite
-
-	// FuncOf maps a function symbol to its IR.
-	FuncOf map[*sema.Symbol]*Func
-	// ObjectOf maps source symbols to their IR objects.
-	ObjectOf map[*sema.Symbol]*Object
 
 	// Warnings lists non-fatal soundness notes (e.g. calls to unknown
 	// external functions that were treated as no-ops).

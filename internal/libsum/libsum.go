@@ -231,7 +231,7 @@ func (Summaries) EmitBody(b *ir.Builder, fn *ir.Func) bool {
 	if !ok {
 		return false
 	}
-	pos := fn.Sym.Pos
+	pos := fn.Obj.Pos
 	param := func(i int) *ir.Object {
 		if i >= 0 && i < len(fn.Params) {
 			return fn.Params[i]

@@ -75,10 +75,7 @@ func Compute(prog *ir.Program, res *core.Result) *Summary {
 			res.EachTarget(st.Src, func(c core.Cell) { eff.Ref[c.Obj] = true })
 		case ir.OpCall:
 			res.EachTarget(st.Ptr, func(c core.Cell) {
-				if c.Obj.Kind != ir.ObjFunc || c.Obj.Sym == nil {
-					return
-				}
-				if callee := prog.FuncOf[c.Obj.Sym]; callee != nil {
+				if callee := c.Obj.Fn; callee != nil {
 					s.Callees[st.Fn][callee] = true
 				}
 			})

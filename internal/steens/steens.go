@@ -111,14 +111,13 @@ func (r *Result) TotalFacts() int {
 
 // solver carries the unification state.
 type solver struct {
-	prog   *ir.Program
 	objECR map[*ir.Object]*ecr
 }
 
 // Analyze runs the unification analysis to completion.
 func Analyze(prog *ir.Program) *Result {
 	start := time.Now()
-	s := &solver{prog: prog, objECR: make(map[*ir.Object]*ecr)}
+	s := &solver{objECR: make(map[*ir.Object]*ecr)}
 	for _, st := range prog.Stmts {
 		s.stmt(st)
 	}
@@ -137,10 +136,8 @@ func (s *solver) of(obj *ir.Object) *ecr {
 	e := &ecr{}
 	e.members = []*ir.Object{obj}
 	s.objECR[obj] = e
-	if obj.Kind == ir.ObjFunc && obj.Sym != nil {
-		if fn := s.prog.FuncOf[obj.Sym]; fn != nil {
-			e.funcs = []*ir.Func{fn}
-		}
+	if obj.Fn != nil {
+		e.funcs = []*ir.Func{obj.Fn}
 	}
 	return e
 }

@@ -162,7 +162,7 @@ func (s *Session) Graph(ctx context.Context) (g *Graph, err error) {
 	if err != nil {
 		return nil, err
 	}
-	ig, err := incr.Capture(frontendSources(s.sources), icfg, rep.res, rep.result)
+	ig, err := incr.Capture(frontendSources(s.sources), icfg, s.prog, s.lay, rep.result)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +199,7 @@ func ResumeSession(ctx context.Context, g *Graph, sources []Source, cfg Config) 
 		return nil, nil, stop.AsError()
 	}
 	s := newSessionState(cfg, sources, res)
-	s.rep = &Report{strategy: cfg.Strategy, res: res, result: result}
+	s.rep = &Report{strategy: cfg.Strategy, prog: s.prog, result: result}
 	return s, resumeInfo(stats), nil
 }
 

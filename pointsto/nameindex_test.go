@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/cc/sema"
 	"repro/internal/ir"
 )
 
@@ -13,9 +12,9 @@ import (
 // order, and appending the second object of a name leaves the program's
 // object list as it was.
 func TestNameIndex(t *testing.T) {
-	p1 := &ir.Object{ID: 0, Name: "f::p", Sym: &sema.Symbol{Name: "p"}}
-	g := &ir.Object{ID: 1, Name: "g", Sym: &sema.Symbol{Name: "g"}}
-	p2 := &ir.Object{ID: 2, Name: "g::p", Sym: &sema.Symbol{Name: "p"}}
+	p1 := &ir.Object{ID: 0, Name: "f::p", Sym: &ir.Symbol{Name: "p"}}
+	g := &ir.Object{ID: 1, Name: "g", Sym: &ir.Symbol{Name: "g"}}
+	p2 := &ir.Object{ID: 2, Name: "g::p", Sym: &ir.Symbol{Name: "p"}}
 	tmp := &ir.Object{ID: 3, Name: "t3", Kind: ir.ObjTemp}
 	anon := &ir.Object{ID: 4}
 	objs := []*ir.Object{p1, g, p2, tmp, anon}

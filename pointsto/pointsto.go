@@ -216,13 +216,15 @@ func AnalyzeAllContext(ctx context.Context, sources []Source, cfg Config, strate
 	if err != nil {
 		return nil, err
 	}
+	// Keep only the IR, so the AST and sema tables are collectable during the solve.
+	prog, abi := res.IR, res.Layout.ABI()
 	jobs := make([]core.BatchJob, len(strategies))
 	for i, s := range strategies {
 		// Per-job layout engines keep the jobs free of shared mutable
 		// state (the engine caches record layouts on demand).
 		jobs[i] = core.BatchJob{
-			Prog:  res.IR,
-			Strat: newStrategy(s, layout.New(res.Layout.ABI())),
+			Prog:  prog,
+			Strat: newStrategy(s, layout.New(abi)),
 			Opts:  coreOptions(cfg),
 		}
 	}
@@ -234,7 +236,7 @@ func AnalyzeAllContext(ctx context.Context, sources []Source, cfg Config, strate
 			err = errors.Join(err, jobErrs[i])
 			continue
 		}
-		reports[i] = &Report{strategy: strategies[i], res: res, result: r}
+		reports[i] = &Report{strategy: strategies[i], prog: prog, result: r}
 		if stop := r.Incomplete; stop != nil && stop.Canceled() {
 			canceled = true
 		}
@@ -262,10 +264,9 @@ func load(sources []Source, cfg Config) (*frontend.Result, error) {
 	})
 }
 
-func solve(ctx context.Context, res *frontend.Result, cfg Config) *Report {
-	strat := newStrategy(cfg.Strategy, res.Layout)
-	result := core.AnalyzeContext(ctx, res.IR, strat, coreOptions(cfg))
-	return &Report{strategy: cfg.Strategy, res: res, result: result}
+func solve(ctx context.Context, prog *ir.Program, lay *layout.Engine, cfg Config) *Report {
+	result := core.AnalyzeContext(ctx, prog, newStrategy(cfg.Strategy, lay), coreOptions(cfg))
+	return &Report{strategy: cfg.Strategy, prog: prog, result: result}
 }
 
 func coreOptions(cfg Config) core.Options {
@@ -313,7 +314,7 @@ func newStrategy(s Strategy, lay *layout.Engine) core.Strategy {
 // deterministic and safe for concurrent use after the Report is built.
 type Report struct {
 	strategy Strategy
-	res      *frontend.Result
+	prog     *ir.Program
 	result   *core.Result
 
 	nameOnce sync.Once
@@ -378,7 +379,7 @@ func (r *Report) Duration() time.Duration { return r.result.Duration }
 func (r *Report) TotalFacts() int { return r.result.TotalFacts() }
 
 // NumDerefSites returns the number of static dereference sites.
-func (r *Report) NumDerefSites() int { return len(r.res.IR.Sites) }
+func (r *Report) NumDerefSites() int { return len(r.prog.Sites) }
 
 // DerefSetSize returns the average points-to set size over all static
 // dereference sites (the Figure 4 metric), with collapsed facts expanded
@@ -387,7 +388,7 @@ func (r *Report) DerefSetSize() float64 { return r.result.AvgDerefSetSize() }
 
 // index builds the name → objects map once (safe under concurrent queries).
 func (r *Report) index() map[string][]*ir.Object {
-	r.nameOnce.Do(func() { r.byName = nameIndex(r.res.IR.Objects) })
+	r.nameOnce.Do(func() { r.byName = nameIndex(r.prog.Objects) })
 	return r.byName
 }
 
@@ -488,14 +489,14 @@ func (r *Report) Sets() []Set { return slices.Clone(r.result.Rows()) }
 // under concurrent queries).
 func (r *Report) summary() *modref.Summary {
 	r.sumOnce.Do(func() {
-		r.sum = modref.Compute(r.res.IR, r.result)
+		r.sum = modref.Compute(r.prog, r.result)
 	})
 	return r.sum
 }
 
 // fn resolves a defined function by name.
 func (r *Report) fn(name string) *ir.Func {
-	for _, fn := range r.res.IR.Funcs {
+	for _, fn := range r.prog.Funcs {
 		if fn.Sym != nil && fn.Sym.Name == name {
 			return fn
 		}

@@ -38,7 +38,8 @@ type Session struct {
 	// sources are retained verbatim: Graph capture embeds them in the
 	// snapshot so a decoded graph can re-run the front end.
 	sources []Source
-	res     *frontend.Result
+	prog    *ir.Program
+	lay     *layout.Engine
 	byName  map[string][]*ir.Object
 
 	// demandMu guards the demand engine. The engine accumulates one
@@ -72,15 +73,16 @@ func NewSession(sources []Source, cfg Config) (sess *Session, err error) {
 }
 
 // newSessionState assembles a Session around an already-loaded front-end
-// result (shared by NewSession and the incremental ResumeSession path).
+// result (shared by NewSession and the incremental ResumeSession path). It
+// keeps only the IR and the layout engine, not the AST or sema tables.
 func newSessionState(cfg Config, sources []Source, res *frontend.Result) *Session {
-	s := &Session{
+	return &Session{
 		cfg:     cfg,
 		sources: append([]Source(nil), sources...),
-		res:     res,
+		prog:    res.IR,
+		lay:     res.Layout,
 		byName:  nameIndex(res.IR.Objects),
 	}
-	return s
 }
 
 // Strategy returns the instance the session queries under.
@@ -187,7 +189,7 @@ func (s *Session) demandBudget() int {
 	if frac == 0 {
 		frac = 0.5
 	}
-	b := int(frac * float64(len(s.res.IR.Stmts)))
+	b := int(frac * float64(len(s.prog.Stmts)))
 	if b < 256 {
 		b = 256
 	}
@@ -218,8 +220,8 @@ func (s *Session) demandSets(ctx context.Context, objs []*ir.Object) ([]core.Cel
 		return nil, false, nil
 	}
 	if s.demand == nil {
-		strat := newStrategy(s.cfg.Strategy, layout.New(s.res.Layout.ABI()))
-		s.demand = core.NewDemand(s.res.IR, strat, coreOptions(s.cfg), s.demandBudget())
+		strat := newStrategy(s.cfg.Strategy, layout.New(s.lay.ABI()))
+		s.demand = core.NewDemand(s.prog, strat, coreOptions(s.cfg), s.demandBudget())
 	}
 	before := s.demand.Stats().MemoHits
 	err := s.demand.Query(ctx, objs...)
@@ -357,7 +359,7 @@ func (s *Session) runFlight(fctx context.Context, f *reportFlight) {
 	defer f.cancel()
 	func() {
 		defer fault.Recover("solve", &f.err)
-		rep := solve(fctx, s.res, s.cfg)
+		rep := solve(fctx, s.prog, s.lay, s.cfg)
 		f.rep = rep
 		if stop := rep.result.Incomplete; stop != nil && stop.Canceled() {
 			f.err = stop.AsError()

@@ -3,9 +3,9 @@
 # write BENCH_<stamp>.json in the output directory — wall time, per-run
 # solver steps, memoization and cycle-elimination counters ride along inside
 # the ptrbench JSON — plus BENCH_<stamp>.bench.txt, a benchstat-compatible
-# sample of the solver representation and preprocessor benchmarks (go test
-# -bench, -benchmem) so future changes can show statistically grounded
-# deltas:
+# sample of the solver representation, preprocessor and front-end
+# benchmarks (go test -bench, -benchmem) so future changes can show
+# statistically grounded deltas:
 #
 #	benchstat BENCH_old.bench.txt BENCH_new.bench.txt
 #
@@ -75,11 +75,11 @@ tmp="${out}.tmp"
 if [ "$short" = 1 ]; then
 	count=3
 	benchtime=5x
-	filter='Benchmark(SolverRepresentation|Preprocess)/(anagram|less|compiler|large|casts)'
+	filter='Benchmark(SolverRepresentation|Preprocess|Frontend)/(anagram|less|compiler|large|casts)'
 else
 	count=10
 	benchtime=20x
-	filter='Benchmark(SolverRepresentation|Preprocess)'
+	filter='Benchmark(SolverRepresentation|Preprocess|Frontend)'
 fi
 
 start="$(date +%s)"
