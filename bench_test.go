@@ -417,22 +417,37 @@ func BenchmarkRelated(b *testing.B) {
 }
 
 // BenchmarkFrontend times the front-end pipeline itself (preprocess, parse,
-// typecheck, normalize) per corpus program.
+// typecheck, normalize) per corpus program, and on the small GenerateLarge
+// program of BenchmarkPreprocess, where sema and lowering are most of the
+// front end.
 func BenchmarkFrontend(b *testing.B) {
+	type program struct {
+		name string
+		src  []frontend.Source
+	}
+	var progs []program
 	for _, name := range []string{"allroots", "compiler", "bc", "less"} {
 		src, err := corpus.Source(name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
+		progs = append(progs, program{name, src})
+	}
+	progs = append(progs, program{"large-24x250", corpus.GenerateLarge(largeBenchParams)})
+	for _, p := range progs {
+		b.Run(p.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := frontend.Load(src, frontend.Options{}); err != nil {
+				if _, err := frontend.Load(p.src, frontend.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
 }
+
+// largeBenchParams is a GenerateLarge program of the large benchmark's
+// shape at 24 chains of 250 links.
+var largeBenchParams = corpus.LargeParams{NChains: 24, ChainLen: 250, NTargets: 256, NFields: 8, CrossEvery: 16, Seed: 1}
 
 // BenchmarkPreprocess times the preprocessor alone, with -benchmem its
 // allocation: on the compiler corpus program, and on a small
@@ -443,7 +458,7 @@ func BenchmarkPreprocess(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	large := corpus.GenerateLarge(corpus.LargeParams{NChains: 24, ChainLen: 250, NTargets: 256, NFields: 8, CrossEvery: 16, Seed: 1})
+	large := corpus.GenerateLarge(largeBenchParams)
 	for _, c := range []struct {
 		name string
 		src  []frontend.Source

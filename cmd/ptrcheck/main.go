@@ -87,10 +87,14 @@ func run() error {
 		for _, f := range findings {
 			fmt.Println(f)
 		}
+		// Findings come sorted by class, so each class is one run: print
+		// the counts in that order rather than in map order.
 		sum := castaudit.Summary(findings)
 		fmt.Printf("\n%d casts:", len(findings))
-		for class, n := range sum {
-			fmt.Printf(" %s=%d", class, n)
+		for i, f := range findings {
+			if i == 0 || f.Class != findings[i-1].Class {
+				fmt.Printf(" %s=%d", f.Class, sum[f.Class])
+			}
 		}
 		fmt.Println()
 		return nil

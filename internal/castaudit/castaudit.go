@@ -88,7 +88,7 @@ func Audit(prog *sema.Program) []Finding {
 			if !ok {
 				return true
 			}
-			from := prog.Info.Types[c.X]
+			from := c.X.ExprType()
 			if from == nil {
 				return true
 			}

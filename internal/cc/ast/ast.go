@@ -3,7 +3,10 @@
 // Types are resolved at parse time (C cannot be parsed without typedef
 // knowledge), so declaration nodes carry *types.Type directly. Expression
 // types and symbol resolution are computed later by package sema, which
-// records them in side tables rather than mutating the tree.
+// records them on the nodes themselves: every expression's type (see
+// Expr.ExprType), and the sema symbol id an *Ident resolves to or a
+// *VarDecl or *FuncDecl defines (the Sym fields). One sema.Analyze
+// annotates the files of one parse; a tree is not analyzed twice.
 package ast
 
 import (
@@ -16,9 +19,11 @@ type Node interface {
 	Pos() token.Pos
 }
 
-// Expr is an expression node.
+// Expr is an expression node. Its type is nil until sema records it.
 type Expr interface {
 	Node
+	ExprType() *types.Type
+	SetExprType(*types.Type)
 	exprNode()
 }
 
@@ -42,26 +47,45 @@ type Init interface {
 
 // --- Expressions ---
 
-// Ident is a use of a name.
+// typed is embedded in every expression node to hold the type sema
+// computes for it (array and function types are not decayed, since &arr
+// and arr differ; consumers decay as needed).
+type typed struct {
+	ty *types.Type
+}
+
+// ExprType returns the type sema recorded for the expression.
+func (t *typed) ExprType() *types.Type { return t.ty }
+
+// SetExprType records the expression's type.
+func (t *typed) SetExprType(ty *types.Type) { t.ty = ty }
+
+// Ident is a use of a name. Sym is the sema.Symbol.ID it resolves to (0
+// before analysis).
 type Ident struct {
+	typed
 	P    token.Pos
 	Name string
+	Sym  int
 }
 
 // IntLit is an integer constant.
 type IntLit struct {
+	typed
 	P    token.Pos
 	Text string
 }
 
 // FloatLit is a floating constant.
 type FloatLit struct {
+	typed
 	P    token.Pos
 	Text string
 }
 
 // CharLit is a character constant (spelling includes quotes).
 type CharLit struct {
+	typed
 	P    token.Pos
 	Text string
 }
@@ -69,18 +93,21 @@ type CharLit struct {
 // StringLit is a string literal; Value is the unescaped contents after
 // adjacent-literal concatenation.
 type StringLit struct {
+	typed
 	P     token.Pos
 	Value string
 }
 
 // Paren is a parenthesized expression (kept so the printer round-trips).
 type Paren struct {
+	typed
 	P token.Pos
 	X Expr
 }
 
 // Unary is a prefix operator application: & * + - ~ ! ++ --.
 type Unary struct {
+	typed
 	P  token.Pos
 	Op token.Kind
 	X  Expr
@@ -88,6 +115,7 @@ type Unary struct {
 
 // Postfix is x++ or x--.
 type Postfix struct {
+	typed
 	P  token.Pos
 	Op token.Kind // INC or DEC
 	X  Expr
@@ -95,6 +123,7 @@ type Postfix struct {
 
 // Binary is a binary operator application (arithmetic, relational, logical).
 type Binary struct {
+	typed
 	P    token.Pos
 	Op   token.Kind
 	X, Y Expr
@@ -102,6 +131,7 @@ type Binary struct {
 
 // Assign is an assignment, possibly compound (+=, -=, ...).
 type Assign struct {
+	typed
 	P    token.Pos
 	Op   token.Kind // ASSIGN or op-assign kind
 	L, R Expr
@@ -109,18 +139,21 @@ type Assign struct {
 
 // Cond is the ternary conditional c ? a : b.
 type Cond struct {
+	typed
 	P       token.Pos
 	C, A, B Expr
 }
 
 // Comma is the comma operator.
 type Comma struct {
+	typed
 	P    token.Pos
 	X, Y Expr
 }
 
 // Call is a function call.
 type Call struct {
+	typed
 	P    token.Pos
 	Fun  Expr
 	Args []Expr
@@ -128,12 +161,14 @@ type Call struct {
 
 // Index is array subscripting a[i].
 type Index struct {
+	typed
 	P    token.Pos
 	X, I Expr
 }
 
 // Member is field selection: X.Name or X->Name (Arrow).
 type Member struct {
+	typed
 	P     token.Pos
 	X     Expr
 	Name  string
@@ -142,6 +177,7 @@ type Member struct {
 
 // Cast is (T)X.
 type Cast struct {
+	typed
 	P token.Pos
 	T *types.Type
 	X Expr
@@ -149,12 +185,14 @@ type Cast struct {
 
 // SizeofExpr is sizeof expr.
 type SizeofExpr struct {
+	typed
 	P token.Pos
 	X Expr
 }
 
 // SizeofType is sizeof(T).
 type SizeofType struct {
+	typed
 	P token.Pos
 	T *types.Type
 }
@@ -384,13 +422,15 @@ func (s StorageClass) String() string {
 	return ""
 }
 
-// VarDecl declares one object (variable) or function prototype.
+// VarDecl declares one object (variable) or function prototype. Sym is
+// the sema.Symbol.ID it declares (0 before analysis).
 type VarDecl struct {
 	P       token.Pos
 	Name    string
 	Type    *types.Type
 	Storage StorageClass
 	Init    Init // may be nil
+	Sym     int
 }
 
 // TypedefDecl records a typedef (type aliases are resolved at parse time;
@@ -408,13 +448,15 @@ type TagDecl struct {
 	Type *types.Type
 }
 
-// FuncDecl is a function definition (with a body).
+// FuncDecl is a function definition (with a body). Sym is the
+// sema.Symbol.ID it defines (0 before analysis).
 type FuncDecl struct {
 	P       token.Pos
 	Name    string
 	Type    *types.Type // Func type; parameter names are in Type.Sig
 	Storage StorageClass
 	Body    *Block
+	Sym     int
 }
 
 func (n *VarDecl) Pos() token.Pos     { return n.P }

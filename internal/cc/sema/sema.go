@@ -1,8 +1,11 @@
 // Package sema performs semantic analysis over parsed translation units:
 // it builds the program-wide symbol table (merging extern declarations
 // across files), resolves every identifier use, and computes the type of
-// every expression. Results are recorded in side tables (like go/types)
-// rather than mutating the AST.
+// every expression. Results are recorded on the AST nodes: each
+// expression's type (ast.Expr.SetExprType) and the Symbol.ID each
+// *ast.Ident resolves to and each *ast.VarDecl or *ast.FuncDecl defines
+// (Program.Sym maps an id back to its Symbol). One Analyze annotates the
+// files of one parse; analyzing the same trees again is not supported.
 package sema
 
 import (
@@ -49,39 +52,36 @@ type Symbol struct {
 
 	// Def is the defining FuncDecl for functions with bodies.
 	Def *ast.FuncDecl
+	// Params lists a defined function's parameter symbols in signature
+	// order (nil entries for unnamed parameters).
+	Params []*Symbol
 	// Implicit marks functions that were never declared (C89 implicit int).
 	Implicit bool
 }
 
 func (s *Symbol) String() string { return s.Unique }
 
-// Info holds the side tables produced by analysis.
-type Info struct {
-	// Types maps every analyzed expression to its C type (after analysis;
-	// array/function types are NOT decayed here — consumers decay as
-	// needed, since &arr and arr differ).
-	Types map[ast.Expr]*types.Type
-	// Uses maps identifier uses to their symbols.
-	Uses map[*ast.Ident]*Symbol
-	// Defs maps declarations to the symbols they introduce.
-	Defs map[ast.Decl]*Symbol
-	// Params maps function definitions to their parameter symbols.
-	Params map[*ast.FuncDecl][]*Symbol
-}
-
 // Program is the result of analyzing a set of translation units.
 type Program struct {
 	Files    []*ast.File
 	Universe *types.Universe
 	Layout   *layout.Engine
-	Info     *Info
 
-	// Symbols lists every symbol in creation order.
+	// Symbols lists every symbol in creation order; Symbols[i].ID is i+1.
 	Symbols []*Symbol
 	// Funcs lists function symbols that have bodies.
 	Funcs []*Symbol
 
 	Errors []error
+}
+
+// Sym returns the symbol with the given id, or nil for id 0 (a node
+// that analysis did not resolve).
+func (p *Program) Sym(id int) *Symbol {
+	if id == 0 {
+		return nil
+	}
+	return p.Symbols[id-1]
 }
 
 // LookupGlobal finds a global symbol by source name.
@@ -109,21 +109,16 @@ func Analyze(files []*ast.File, univ *types.Universe, lay *layout.Engine) (*Prog
 			Files:    files,
 			Universe: univ,
 			Layout:   lay,
-			Info: &Info{
-				Types:  make(map[ast.Expr]*types.Type),
-				Uses:   make(map[*ast.Ident]*Symbol),
-				Defs:   make(map[ast.Decl]*Symbol),
-				Params: make(map[*ast.FuncDecl][]*Symbol),
-			},
 		},
-		globals: make(map[string]*Symbol),
+		globals:     make(map[string]*Symbol),
+		fileStatics: make(map[string]map[string]*Symbol),
 	}
 	for _, f := range files {
-		c.file = f
+		c.setFile(f)
 		c.collectGlobals(f)
 	}
 	for _, f := range files {
-		c.file = f
+		c.setFile(f)
 		c.checkFile(f)
 	}
 	for _, s := range c.prog.Symbols {
@@ -139,12 +134,24 @@ func Analyze(files []*ast.File, univ *types.Universe, lay *layout.Engine) (*Prog
 }
 
 type checker struct {
-	prog    *Program
-	file    *ast.File
+	prog *Program
+	file *ast.File
+	// globals holds the file-scope symbols with external linkage (and
+	// implicitly declared names), keyed by source name.
 	globals map[string]*Symbol
-	scopes  []map[string]*Symbol
-	fn      *ast.FuncDecl // current function
-	nextID  int
+	// statics holds the current file's internal-linkage symbols, keyed by
+	// source name; fileStatics keeps one such table per file name.
+	statics     map[string]*Symbol
+	fileStatics map[string]map[string]*Symbol
+	scopes      []map[string]*Symbol
+	fn          *ast.FuncDecl // current function
+	nextID      int
+}
+
+// setFile makes f the current file, switching to its static table.
+func (c *checker) setFile(f *ast.File) {
+	c.file = f
+	c.statics = c.fileStatics[f.Name]
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...interface{}) {
@@ -166,21 +173,27 @@ func (c *checker) collectGlobals(f *ast.File) {
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.VarDecl:
-			c.declareGlobal(d.Name, d.Type, d.Storage, d.Pos(), d, nil)
+			d.Sym = c.declareGlobal(d.Name, d.Type, d.Storage, d.Pos(), nil).ID
 		case *ast.FuncDecl:
-			c.declareGlobal(d.Name, d.Type, d.Storage, d.Pos(), d, d)
+			d.Sym = c.declareGlobal(d.Name, d.Type, d.Storage, d.Pos(), d).ID
 		}
 	}
 }
 
-func (c *checker) declareGlobal(name string, typ *types.Type, storage ast.StorageClass, pos token.Pos, decl ast.Decl, def *ast.FuncDecl) {
+// declareGlobal declares (or merges a redeclaration of) a file-scope
+// name and returns its symbol.
+func (c *checker) declareGlobal(name string, typ *types.Type, storage ast.StorageClass, pos token.Pos, def *ast.FuncDecl) *Symbol {
 	static := storage == ast.StorageStatic
-	key := name
+	table := c.globals
 	if static {
 		// Internal linkage: one symbol per (file, name).
-		key = c.file.Name + "::" + name
+		if c.statics == nil {
+			c.statics = make(map[string]*Symbol)
+			c.fileStatics[c.file.Name] = c.statics
+		}
+		table = c.statics
 	}
-	sym, ok := c.globals[key]
+	sym, ok := table[name]
 	if ok {
 		// Merge redeclaration.
 		if !types.Compatible(types.Unqualified(sym.Type), types.Unqualified(typ)) {
@@ -207,21 +220,18 @@ func (c *checker) declareGlobal(name string, typ *types.Type, storage ast.Storag
 			sym.Unique = c.file.Name + "::" + name
 		}
 		sym.Def = def
-		c.globals[key] = sym
+		table[name] = sym
 	}
-	c.prog.Info.Defs[decl] = sym
+	return sym
 }
 
 // lookupGlobalFor resolves a name at file scope, preferring this file's
 // static symbol.
 func (c *checker) lookupGlobalFor(name string) *Symbol {
-	if s, ok := c.globals[c.file.Name+"::"+name]; ok {
+	if s, ok := c.statics[name]; ok {
 		return s
 	}
-	if s, ok := c.globals[name]; ok {
-		return s
-	}
-	return nil
+	return c.globals[name]
 }
 
 // --- scope management ---
@@ -278,7 +288,9 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 		s := c.declareLocal(prm.Name, SymParam, prm.Type, fd.Pos())
 		params = append(params, s)
 	}
-	c.prog.Info.Params[fd] = params
+	if sym := c.prog.Sym(fd.Sym); sym.Def == fd {
+		sym.Params = params
+	}
 	c.checkStmt(fd.Body)
 	c.popScope()
 	c.fn = nil
@@ -325,15 +337,14 @@ func (c *checker) checkStmt(s ast.Stmt) {
 						c.scopes[len(c.scopes)-1][d.Name] = sym
 					}
 				} else if d.Storage == ast.StorageExtern {
-					c.declareGlobal(d.Name, d.Type, ast.StorageNone, d.Pos(), d, nil)
-					sym = c.prog.Info.Defs[d]
+					sym = c.declareGlobal(d.Name, d.Type, ast.StorageNone, d.Pos(), nil)
 					if len(c.scopes) > 0 {
 						c.scopes[len(c.scopes)-1][d.Name] = sym
 					}
 				} else {
 					sym = c.declareLocal(d.Name, SymVar, d.Type, d.Pos())
 				}
-				c.prog.Info.Defs[d] = sym
+				d.Sym = sym.ID
 				if d.Init != nil {
 					c.checkInit(d.Init)
 				}
@@ -442,7 +453,7 @@ func (c *checker) checkExpr(e ast.Expr) *types.Type {
 	if t == nil {
 		t = c.intType()
 	}
-	c.prog.Info.Types[e] = t
+	e.SetExprType(t)
 	return t
 }
 
@@ -457,7 +468,7 @@ func (c *checker) typeOf(e ast.Expr) *types.Type {
 			sym.Implicit = true
 			c.globals[e.Name] = sym
 		}
-		c.prog.Info.Uses[e] = sym
+		e.Sym = sym.ID
 		return sym.Type
 
 	case *ast.IntLit:
@@ -584,7 +595,7 @@ func (c *checker) typeOf(e ast.Expr) *types.Type {
 		c.checkExpr(e.I)
 		if xt.Kind != types.Ptr {
 			// i[a] form: swap.
-			it := c.prog.Info.Types[e.I].Decay()
+			it := e.I.ExprType().Decay()
 			if it.Kind == types.Ptr {
 				return it.Elem
 			}

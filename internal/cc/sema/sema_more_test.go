@@ -42,10 +42,8 @@ func TestForLoopDeclScope(t *testing.T) {
 	prog := analyzeOne(t, src)
 	// The two i's must be distinct symbols.
 	seen := make(map[*Symbol]bool)
-	for _, s := range prog.Info.Uses {
-		if s.Name == "i" {
-			seen[s] = true
-		}
+	for _, s := range uses(prog, "i") {
+		seen[s] = true
 	}
 	if len(seen) != 2 {
 		t.Errorf("distinct i symbols = %d, want 2", len(seen))
@@ -130,7 +128,7 @@ func TestIndexSwappedForm(t *testing.T) {
 	prog := analyzeOne(t, src)
 	fd := findFunc(t, prog, "f")
 	ret := fd.Body.List[0].(*ast.Return)
-	if typ := prog.Info.Types[ret.Expr]; typ.Kind != types.Int {
+	if typ := ret.Expr.ExprType(); typ.Kind != types.Int {
 		t.Errorf("i[arr] type = %s", typ)
 	}
 }
@@ -147,7 +145,7 @@ void f(void) { p1 = g; p2 = &g; }`
 			continue
 		}
 		as := es.X.(*ast.Assign)
-		typ := prog.Info.Types[as.R]
+		typ := as.R.ExprType()
 		// g has func type, &g pointer-to-func; both legal.
 		if typ.Kind != types.Func && !(typ.Kind == types.Ptr && typ.Elem.Kind == types.Func) {
 			t.Errorf("RHS type = %s", typ)
@@ -162,7 +160,7 @@ func TestShiftResultType(t *testing.T) {
 	ret := fd.Body.List[0].(*ast.Return)
 	bin := ret.Expr.(*ast.Binary)
 	// Shift takes the promoted left operand's type: uchar promotes to int.
-	if typ := prog.Info.Types[bin]; typ.Kind != types.Int {
+	if typ := bin.ExprType(); typ.Kind != types.Int {
 		t.Errorf("shift type = %s", typ)
 	}
 }
@@ -170,13 +168,19 @@ func TestShiftResultType(t *testing.T) {
 func TestSizeofTypes(t *testing.T) {
 	src := "int f(int *p) { return (int)(sizeof(int) + sizeof *p); }"
 	prog := analyzeOne(t, src)
-	for e, typ := range prog.Info.Types {
-		switch e.(type) {
+	sizeofs := 0
+	ast.Walk(prog.Files[0], func(n ast.Node) bool {
+		switch e := n.(type) {
 		case *ast.SizeofType, *ast.SizeofExpr:
-			if typ.Kind != types.ULong {
-				t.Errorf("sizeof type = %s, want unsigned long", typ)
+			sizeofs++
+			if typ := e.(ast.Expr).ExprType(); typ == nil || typ.Kind != types.ULong {
+				t.Errorf("sizeof type = %v, want unsigned long", typ)
 			}
 		}
+		return true
+	})
+	if sizeofs != 2 {
+		t.Errorf("found %d sizeof expressions, want 2", sizeofs)
 	}
 }
 

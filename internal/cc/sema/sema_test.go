@@ -37,8 +37,22 @@ func analyzeOne(t *testing.T, src string) *Program {
 	return analyze(t, map[string]string{"t.c": src})
 }
 
-// exprTypeIn finds the first expression of the given AST node type in fn and
-// returns its computed C type.
+// uses returns the symbols that the uses of name resolve to, in source
+// order (nil for a use analysis left unresolved).
+func uses(prog *Program, name string) []*Symbol {
+	var out []*Symbol
+	for _, f := range prog.Files {
+		ast.Walk(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == name {
+				out = append(out, prog.Sym(id.Sym))
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// findFunc returns the definition of the named function.
 func findFunc(t *testing.T, prog *Program, name string) *ast.FuncDecl {
 	t.Helper()
 	for _, s := range prog.Funcs {
@@ -66,16 +80,11 @@ func TestCrossFileExternMerge(t *testing.T) {
 		"a.c": "int shared; int afunc(void) { return shared; }",
 		"b.c": "extern int shared; int bfunc(void) { return shared; }",
 	})
-	var uses []*Symbol
-	for _, s := range prog.Info.Uses {
-		if s.Name == "shared" {
-			uses = append(uses, s)
-		}
+	shared := uses(prog, "shared")
+	if len(shared) != 2 {
+		t.Fatalf("got %d uses of shared", len(shared))
 	}
-	if len(uses) != 2 {
-		t.Fatalf("got %d uses of shared", len(uses))
-	}
-	if uses[0] != uses[1] {
+	if shared[0] == nil || shared[0] != shared[1] {
 		t.Error("extern uses should resolve to one symbol")
 	}
 }
@@ -86,10 +95,8 @@ func TestStaticInternalLinkage(t *testing.T) {
 		"b.c": "static int priv; int bf(void) { return priv; }",
 	})
 	seen := make(map[*Symbol]bool)
-	for _, s := range prog.Info.Uses {
-		if s.Name == "priv" {
-			seen[s] = true
-		}
+	for _, s := range uses(prog, "priv") {
+		seen[s] = true
 	}
 	if len(seen) != 2 {
 		t.Errorf("static symbols should be distinct per file, got %d", len(seen))
@@ -106,10 +113,8 @@ int f(void) {
 }`
 	prog := analyzeOne(t, src)
 	syms := make(map[*Symbol]bool)
-	for _, s := range prog.Info.Uses {
-		if s.Name == "x" {
-			syms[s] = true
-		}
+	for _, s := range uses(prog, "x") {
+		syms[s] = true
 	}
 	// Three uses resolve to two distinct locals (the global is never used).
 	if len(syms) != 2 {
@@ -125,7 +130,7 @@ int f(void) {
 func TestParamSymbols(t *testing.T) {
 	prog := analyzeOne(t, "int add(int a, int b) { return a + b; }")
 	fd := findFunc(t, prog, "add")
-	params := prog.Info.Params[fd]
+	params := prog.Sym(fd.Sym).Params
 	if len(params) != 2 || params[0].Name != "a" || params[0].Kind != SymParam {
 		t.Fatalf("params = %v", params)
 	}
@@ -148,14 +153,14 @@ int f(void) {
 	// Find "p = &s": RHS type must be struct S *.
 	st := fd.Body.List[2].(*ast.ExprStmt) // after the two local decl stmts
 	as := st.X.(*ast.Assign)
-	rt := prog.Info.Types[as.R]
+	rt := as.R.ExprType()
 	if rt.Kind != types.Ptr || rt.Elem.Kind != types.Struct {
 		t.Errorf("&s type = %s", rt)
 	}
 
 	// Return expression: *s.s1 is int, arr[2] is int, sum is int.
 	ret := fd.Body.List[len(fd.Body.List)-1].(*ast.Return)
-	if typ := prog.Info.Types[ret.Expr]; typ.Kind != types.Int {
+	if typ := ret.Expr.ExprType(); typ.Kind != types.Int {
 		t.Errorf("return type = %s", typ)
 	}
 }
@@ -167,11 +172,11 @@ int f(struct T *p) { return p->next->v; }`
 	fd := findFunc(t, prog, "f")
 	ret := fd.Body.List[0].(*ast.Return)
 	mem := ret.Expr.(*ast.Member)
-	if typ := prog.Info.Types[mem]; typ.Kind != types.Int {
+	if typ := mem.ExprType(); typ.Kind != types.Int {
 		t.Errorf("p->next->v type = %s", typ)
 	}
 	inner := mem.X.(*ast.Member)
-	it := prog.Info.Types[inner]
+	it := inner.ExprType()
 	if it.Kind != types.Ptr || it.Elem.Kind != types.Struct {
 		t.Errorf("p->next type = %s", it)
 	}
@@ -182,7 +187,7 @@ func TestArrayDecayInBinary(t *testing.T) {
 	prog := analyzeOne(t, src)
 	fd := findFunc(t, prog, "f")
 	ret := fd.Body.List[0].(*ast.Return)
-	typ := prog.Info.Types[ret.Expr]
+	typ := ret.Expr.ExprType()
 	if typ.Kind != types.Ptr || typ.Elem.Kind != types.Int {
 		t.Errorf("arr + 1 type = %s", typ)
 	}
@@ -193,7 +198,7 @@ func TestPointerDifference(t *testing.T) {
 	prog := analyzeOne(t, src)
 	fd := findFunc(t, prog, "f")
 	ret := fd.Body.List[0].(*ast.Return)
-	if typ := prog.Info.Types[ret.Expr]; typ.Kind != types.Long {
+	if typ := ret.Expr.ExprType(); typ.Kind != types.Long {
 		t.Errorf("ptr diff type = %s", typ)
 	}
 }
@@ -220,7 +225,7 @@ func TestUsualArithmeticConversions(t *testing.T) {
 		if idx >= len(wants) {
 			break
 		}
-		typ := prog.Info.Types[es.X]
+		typ := es.X.ExprType()
 		if typ.Kind != wants[idx] {
 			t.Errorf("expr %d type = %s, want kind %v", idx, typ, wants[idx])
 		}
@@ -263,7 +268,7 @@ int f(void) {
 	prog := analyzeOne(t, src)
 	fd := findFunc(t, prog, "f")
 	ret := fd.Body.List[2].(*ast.Return)
-	if typ := prog.Info.Types[ret.Expr]; typ.Kind != types.Int {
+	if typ := ret.Expr.ExprType(); typ.Kind != types.Int {
 		t.Errorf("indirect call sum type = %s", typ)
 	}
 }
@@ -271,15 +276,19 @@ int f(void) {
 func TestStringLiteralType(t *testing.T) {
 	prog := analyzeOne(t, `char *s = "hi";`)
 	// The initializer expression must have type char[3].
-	for e, typ := range prog.Info.Types {
-		if _, ok := e.(*ast.StringLit); ok {
-			if typ.Kind != types.Array || typ.ArrayLen != 3 {
-				t.Errorf("string literal type = %s", typ)
-			}
-			return
+	var lit *ast.StringLit
+	ast.Walk(prog.Files[0], func(n ast.Node) bool {
+		if l, ok := n.(*ast.StringLit); ok && lit == nil {
+			lit = l
 		}
+		return true
+	})
+	if lit == nil {
+		t.Fatal("no string literal")
 	}
-	t.Fatal("string literal not typed")
+	if typ := lit.ExprType(); typ == nil || typ.Kind != types.Array || typ.ArrayLen != 3 {
+		t.Errorf("string literal type = %v", typ)
+	}
 }
 
 func TestStaticLocal(t *testing.T) {
@@ -307,7 +316,7 @@ int f(void *v) {
 	fd := findFunc(t, prog, "f")
 	st := fd.Body.List[1].(*ast.ExprStmt)
 	as := st.X.(*ast.Assign)
-	typ := prog.Info.Types[as.R]
+	typ := as.R.ExprType()
 	if typ.Kind != types.Ptr || typ.Elem.Record.Tag != "A" {
 		t.Errorf("cast type = %s", typ)
 	}
@@ -318,7 +327,7 @@ func TestCondExprPointer(t *testing.T) {
 	prog := analyzeOne(t, src)
 	fd := findFunc(t, prog, "f")
 	ret := fd.Body.List[0].(*ast.Return)
-	if typ := prog.Info.Types[ret.Expr]; typ.Kind != types.Int {
+	if typ := ret.Expr.ExprType(); typ.Kind != types.Int {
 		t.Errorf("deref of cond = %s", typ)
 	}
 }

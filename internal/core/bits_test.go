@@ -304,7 +304,7 @@ func TestCellTableSlots(t *testing.T) {
 	outer := rec(types.Field{Name: "in", Type: inner, BitWidth: -1}, types.Field{Name: "z", Type: p, BitWidth: -1})
 	s := &ir.Object{ID: 1, Name: "s", Type: outer}
 	v := &ir.Object{ID: 2, Name: "v", Type: p}
-	tab := newCellTable(&ir.Program{Objects: []*ir.Object{s, v}}, NewCIS().nodeCount, 0)
+	tab := newCellTable(&ir.Program{Objects: []*ir.Object{s, v}}, NewCIS().nodeCount, 0, false)
 	// outer's leaf table: the root, in, in.x, in.y and z; v is a scalar.
 	if len(tab.slot) != 6 {
 		t.Fatalf("%d slots, want 6", len(tab.slot))
@@ -364,7 +364,7 @@ func TestCellTableSlots(t *testing.T) {
 
 	// A foreign object interned first takes the slot; the program's own
 	// cell then overflows and both stay distinct.
-	tab = newCellTable(&ir.Program{Objects: []*ir.Object{s, v}}, NewCIS().nodeCount, 0)
+	tab = newCellTable(&ir.Program{Objects: []*ir.Object{s, v}}, NewCIS().nodeCount, 0, false)
 	check(Cell{Obj: foreign}, 0)
 	check(Cell{Obj: s}, 1)
 }

@@ -34,9 +34,15 @@ type CellTable struct {
 func NewCellTable() *CellTable { return &CellTable{} }
 
 // newCellTable returns an empty table with room for n cells and a run of
-// nodes(o) slots for every object o of prog.
-func newCellTable(prog *ir.Program, nodes func(*ir.Object) int32, n int) *CellTable {
+// nodes(o) slots for every object o of prog. byOff says the strategy keys
+// cells by byte offset: its cells with a non-zero offset all go to the
+// overflow map, so that map is sized once, for a quarter of the n cells
+// (the corpus and the generated cast-heavy program put 0-26% there).
+func newCellTable(prog *ir.Program, nodes func(*ir.Object) int32, n int, byOff bool) *CellTable {
 	t := &CellTable{cells: make([]Cell, 0, n)}
+	if byOff {
+		t.over = make(map[Cell]CellID, n/4)
+	}
 	// IDs are dense from 1 in a lowered program; a hand-built one with
 	// sparse IDs leaves its outliers to the overflow map.
 	limit := 4*len(prog.Objects) + 64
@@ -153,14 +159,23 @@ func (m *objMap[V]) get(o *ir.Object) (V, bool) {
 	return zero, false
 }
 
+// reserve makes room for the objects with IDs below n in one allocation,
+// so a map that will hold most of a program's objects does not grow by
+// doubling.
+func (m *objMap[V]) reserve(n int) {
+	n = min(n, maxDenseID)
+	if n > len(m.own) {
+		m.own = append(m.own, make([]*ir.Object, n-len(m.own))...)
+		m.vals = append(m.vals, make([]V, n-len(m.vals))...)
+	}
+}
+
 // at returns a pointer to o's value, creating a zero entry on first use.
 // The pointer is valid until the next call to at.
 func (m *objMap[V]) at(o *ir.Object) *V {
 	if id := o.ID; uint(id) < maxDenseID {
 		if id >= len(m.own) {
-			n := max(id+1, 2*len(m.own))
-			m.own = append(m.own, make([]*ir.Object, n-len(m.own))...)
-			m.vals = append(m.vals, make([]V, n-len(m.vals))...)
+			m.reserve(max(id+1, 2*len(m.own)))
 		}
 		switch m.own[id] {
 		case nil:

@@ -441,13 +441,19 @@ func newSolver(ctx context.Context, prog *ir.Program, strat Strategy, opts Optio
 	if nc, ok := strat.(interface{ nodeCount(*ir.Object) int32 }); ok {
 		nodes = nc.nodeCount
 	}
+	// Only Offsets has range edges, and it keys cells by byte offset.
+	exact := false
+	if ee, ok := strat.(exactEdger); ok {
+		exact = ee.exactEdges()
+	}
 	s := &solver{
 		ctx:      ctx,
 		limits:   opts.Limits,
 		prog:     prog,
 		strat:    strat,
 		opts:     opts,
-		table:    newCellTable(prog, nodes, ncells),
+		exact:    exact,
+		table:    newCellTable(prog, nodes, ncells, !exact),
 		exactSet: make(map[uint64]struct{}, copies+4*(len(prog.Stmts)-copies)),
 		bound:    make(map[callBinding]bool),
 		pts:      make([]Bits, 0, ncells),
@@ -455,8 +461,10 @@ func newSolver(ctx context.Context, prog *ir.Program, strat Strategy, opts Optio
 		watchers: make([][]watch, 0, ncells),
 		exactOut: make([][]CellID, 0, ncells),
 	}
-	if ee, ok := strat.(exactEdger); ok {
-		s.exact = ee.exactEdges()
+	// IDs are dense from 1 in a lowered program, and under range edges
+	// most objects get fact cells.
+	if !exact {
+		s.factObjs.reserve(nobj + 1)
 	}
 	// Wave scheduling + online cycle elimination: exact-edge strategies
 	// only (range edges are excluded from collapse by construction), and

@@ -215,7 +215,7 @@ func (b *Builder) build() {
 			if !ok || vd.Init == nil {
 				continue
 			}
-			sym := b.sema.Info.Defs[d]
+			sym := b.sema.Sym(vd.Sym)
 			if sym == nil {
 				continue
 			}
@@ -244,10 +244,7 @@ func (b *Builder) declareFunc(sym *sema.Symbol) *Func {
 	fn := &Func{Sym: obj.Sym, Obj: obj}
 	sig := sym.Type.Sig
 
-	var paramSyms []*sema.Symbol
-	if sym.Def != nil {
-		paramSyms = b.sema.Info.Params[sym.Def]
-	}
+	paramSyms := sym.Params
 	for i, prm := range sig.Params {
 		var o *Object
 		if i < len(paramSyms) && paramSyms[i] != nil {
@@ -313,8 +310,10 @@ func (b *Builder) emitWithSite(s *Stmt, site *DerefSite) {
 }
 
 func (b *Builder) exprType(e ast.Expr) *types.Type {
-	if t, ok := b.sema.Info.Types[e]; ok {
-		return t
+	if e != nil {
+		if t := e.ExprType(); t != nil {
+			return t
+		}
 	}
 	return b.sema.Universe.Basic(types.Int)
 }
@@ -326,7 +325,7 @@ func (b *Builder) lvalue(e ast.Expr) lval {
 		return b.lvalue(e.X)
 
 	case *ast.Ident:
-		sym := b.sema.Info.Uses[e]
+		sym := b.sema.Sym(e.Sym)
 		if sym == nil {
 			// Analysis proceeded past an undeclared name; synthesize.
 			o := b.NewTemp(b.exprType(e), e.Pos())
@@ -512,7 +511,7 @@ func (b *Builder) value(e ast.Expr) (Ref, bool) {
 		return Ref{Obj: tmp}, true
 
 	case *ast.Ident:
-		sym := b.sema.Info.Uses[e]
+		sym := b.sema.Sym(e.Sym)
 		if sym == nil {
 			return Ref{}, false
 		}
@@ -767,7 +766,7 @@ func (b *Builder) allocatorCall(call *ast.Call) bool {
 	if !ok {
 		return false
 	}
-	sym := b.sema.Info.Uses[id]
+	sym := b.sema.Sym(id.Sym)
 	if sym == nil || sym.Kind != sema.SymFunc || sym.Def != nil {
 		return false
 	}
@@ -814,7 +813,7 @@ func (b *Builder) lowerCall(e *ast.Call, allocHint *types.Type) *Object {
 	// Callee pointer object.
 	var calleePtr *Object
 	if id, ok := fun.(*ast.Ident); ok {
-		if sym := b.sema.Info.Uses[id]; sym != nil && sym.Kind == sema.SymFunc {
+		if sym := b.sema.Sym(id.Sym); sym != nil && sym.Kind == sema.SymFunc {
 			fnObj := b.objectOf(sym)
 			calleePtr = b.NewTemp(types.PointerTo(sym.Type), pos)
 			b.EmitAddrOf(calleePtr, Ref{Obj: fnObj}, pos)
@@ -859,7 +858,7 @@ func (b *Builder) lowerStmt(s ast.Stmt) {
 			if !ok || vd.Init == nil {
 				continue
 			}
-			sym := b.sema.Info.Defs[d]
+			sym := b.sema.Sym(vd.Sym)
 			if sym == nil {
 				continue
 			}

@@ -199,7 +199,7 @@ func ResumeSession(ctx context.Context, g *Graph, sources []Source, cfg Config) 
 		return nil, nil, stop.AsError()
 	}
 	s := newSessionState(cfg, sources, res)
-	s.rep = &Report{strategy: cfg.Strategy, prog: s.prog, result: result}
+	s.rep = &Report{strategy: cfg.Strategy, prog: s.prog, result: result, names: s.names}
 	return s, resumeInfo(stats), nil
 }
 

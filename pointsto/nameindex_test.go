@@ -1,6 +1,8 @@
 package pointsto
 
 import (
+	"context"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -32,5 +34,60 @@ func TestNameIndex(t *testing.T) {
 		if !slices.Equal(idx[name], w) {
 			t.Errorf("nameIndex[%q] = %v, want %v", name, idx[name], w)
 		}
+	}
+}
+
+// TestNameIndexShared pins that a Session builds its name index only on
+// the first query and hands that one map to the Reports it makes (solved
+// or resumed), and that a single-shot AnalyzeContext builds none before a
+// query.
+func TestNameIndexShared(t *testing.T) {
+	ctx := context.Background()
+	src := []Source{{Name: "t.c", Text: "int x, *p;\nint main(void) { p = &x; return 0; }\n"}}
+	cfg := Config{Strategy: CIS}
+
+	sess, err := NewSession(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.names.byName != nil {
+		t.Fatal("NewSession built the name index before a query")
+	}
+	rep, err := sess.Report(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.names != sess.names || sess.names.byName != nil {
+		t.Fatal("the solved Report does not share the session's unbuilt index")
+	}
+	if got := rep.PointsTo("p"); !slices.Equal(got, []string{"x"}) {
+		t.Fatalf("PointsTo(p) = %v", got)
+	}
+	idx := sess.names.byName
+	if idx == nil {
+		t.Fatal("a query left the index unbuilt")
+	}
+	sess.Names()
+	if reflect.ValueOf(sess.names.byName).UnsafePointer() != reflect.ValueOf(idx).UnsafePointer() {
+		t.Error("Session.Names rebuilt the index")
+	}
+
+	next, _, err := sess.UpdateContext(ctx, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.rep == nil || next.rep.names != next.names || next.names.byName != nil {
+		t.Error("the resumed Report does not share the new session's unbuilt index")
+	}
+
+	single, err := AnalyzeContext(ctx, src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.names.byName != nil {
+		t.Error("AnalyzeContext built a name index before a query")
+	}
+	if got := single.Names(); !slices.Contains(got, "p") {
+		t.Errorf("Names() = %v", got)
 	}
 }

@@ -230,13 +230,14 @@ func AnalyzeAllContext(ctx context.Context, sources []Source, cfg Config, strate
 	}
 	results, jobErrs := core.AnalyzeBatchContext(ctx, jobs, cfg.Parallelism)
 	reports = make([]*Report, len(results))
+	names := newNameTable(prog)
 	canceled := false
 	for i, r := range results {
 		if jobErrs[i] != nil {
 			err = errors.Join(err, jobErrs[i])
 			continue
 		}
-		reports[i] = &Report{strategy: strategies[i], prog: prog, result: r}
+		reports[i] = &Report{strategy: strategies[i], prog: prog, result: r, names: names}
 		if stop := r.Incomplete; stop != nil && stop.Canceled() {
 			canceled = true
 		}
@@ -264,9 +265,11 @@ func load(sources []Source, cfg Config) (*frontend.Result, error) {
 	})
 }
 
-func solve(ctx context.Context, prog *ir.Program, lay *layout.Engine, cfg Config) *Report {
+// solve runs the exhaustive solver; the report shares names, the
+// program's name index.
+func solve(ctx context.Context, prog *ir.Program, lay *layout.Engine, cfg Config, names *nameTable) *Report {
 	result := core.AnalyzeContext(ctx, prog, newStrategy(cfg.Strategy, lay), coreOptions(cfg))
-	return &Report{strategy: cfg.Strategy, prog: prog, result: result}
+	return &Report{strategy: cfg.Strategy, prog: prog, result: result, names: names}
 }
 
 func coreOptions(cfg Config) core.Options {
@@ -316,11 +319,10 @@ type Report struct {
 	strategy Strategy
 	prog     *ir.Program
 	result   *core.Result
+	names    *nameTable
 
-	nameOnce sync.Once
-	byName   map[string][]*ir.Object
-	sumOnce  sync.Once
-	sum      *modref.Summary
+	sumOnce sync.Once
+	sum     *modref.Summary
 }
 
 // Strategy returns the instance that produced the report.
@@ -386,10 +388,31 @@ func (r *Report) NumDerefSites() int { return len(r.prog.Sites) }
 // per-field for comparability.
 func (r *Report) DerefSetSize() float64 { return r.result.AvgDerefSetSize() }
 
-// index builds the name → objects map once (safe under concurrent queries).
-func (r *Report) index() map[string][]*ir.Object {
-	r.nameOnce.Do(func() { r.byName = nameIndex(r.prog.Objects) })
-	return r.byName
+// nameTable is a program's name → objects index, built on first use (safe
+// under concurrent queries). A Session and the Reports it solves share one,
+// as do the Reports of one AnalyzeAll.
+type nameTable struct {
+	prog   *ir.Program
+	once   sync.Once
+	byName map[string][]*ir.Object
+}
+
+func newNameTable(prog *ir.Program) *nameTable { return &nameTable{prog: prog} }
+
+func (t *nameTable) index() map[string][]*ir.Object {
+	t.once.Do(func() { t.byName = nameIndex(t.prog.Objects) })
+	return t.byName
+}
+
+// sorted returns the index's names in sorted order.
+func (t *nameTable) sorted() []string {
+	idx := t.index()
+	out := make([]string, 0, len(idx))
+	for name := range idx {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // nameIndex maps each source-level name (a symbol's, else the object's own)
@@ -419,20 +442,12 @@ func nameIndex(objs []*ir.Object) map[string][]*ir.Object {
 // objects resolves a source-level variable or function name to its abstract
 // objects (several when distinct scopes reuse the name).
 func (r *Report) objects(name string) []*ir.Object {
-	return r.index()[name]
+	return r.names.index()[name]
 }
 
 // Names returns every queryable source-level name (variables and functions)
 // in sorted order. Each entry is valid input to PointsTo and MayAlias.
-func (r *Report) Names() []string {
-	idx := r.index()
-	out := make([]string, 0, len(idx))
-	for name := range idx {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func (r *Report) Names() []string { return r.names.sorted() }
 
 // Steps returns the number of worklist steps the solver performed.
 func (r *Report) Steps() int { return r.result.Steps }

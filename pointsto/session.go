@@ -3,7 +3,6 @@ package pointsto
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -40,7 +39,7 @@ type Session struct {
 	sources []Source
 	prog    *ir.Program
 	lay     *layout.Engine
-	byName  map[string][]*ir.Object
+	names   *nameTable // built on the first query, shared with s.rep
 
 	// demandMu guards the demand engine. The engine accumulates one
 	// coherent slice across queries, so queries through it are serialized.
@@ -81,7 +80,7 @@ func newSessionState(cfg Config, sources []Source, res *frontend.Result) *Sessio
 		sources: append([]Source(nil), sources...),
 		prog:    res.IR,
 		lay:     res.Layout,
-		byName:  nameIndex(res.IR.Objects),
+		names:   newNameTable(res.IR),
 	}
 }
 
@@ -89,18 +88,11 @@ func newSessionState(cfg Config, sources []Source, res *frontend.Result) *Sessio
 func (s *Session) Strategy() Strategy { return s.cfg.Strategy }
 
 // Names returns every queryable source-level name in sorted order.
-func (s *Session) Names() []string {
-	out := make([]string, 0, len(s.byName))
-	for name := range s.byName {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Session) Names() []string { return s.names.sorted() }
 
 // objects resolves a name, or fails with an ErrUnknownName fault.
 func (s *Session) objects(name string) ([]*ir.Object, error) {
-	objs := s.byName[name]
+	objs := s.names.index()[name]
 	if len(objs) == 0 {
 		return nil, fault.Newf(fault.KindUnknownName, "query", "", "unknown name %q", name)
 	}
@@ -359,7 +351,7 @@ func (s *Session) runFlight(fctx context.Context, f *reportFlight) {
 	defer f.cancel()
 	func() {
 		defer fault.Recover("solve", &f.err)
-		rep := solve(fctx, s.prog, s.lay, s.cfg)
+		rep := solve(fctx, s.prog, s.lay, s.cfg, s.names)
 		f.rep = rep
 		if stop := rep.result.Incomplete; stop != nil && stop.Canceled() {
 			f.err = stop.AsError()
